@@ -240,12 +240,14 @@ def cmd_evaluate(args) -> int:
     manifest = _make_manifest("evaluate", args.config, data_path, protocol.seed)
 
     reports = []
-    failures = []
+    failures = []  # (failure record, exit code) per failed family
     for family, grid in specs:
         try:
             report = run_evaluation(family, grid, matrix, protocol)
         except DimuqError as exc:
-            failures.append({"family": family, "error": f"{type(exc).__name__}: {exc}"})
+            code = EXIT_NUMERIC if isinstance(exc, _NUMERIC_ERRORS) else EXIT_CONFIG
+            failures.append(({"family": family, "error": f"{type(exc).__name__}: {exc}"},
+                             code))
             continue
         reports.append(report)
         _write(out_dir, f"report_{family}.json", eval_report_to_json(report))
@@ -255,12 +257,12 @@ def cmd_evaluate(args) -> int:
         _write(out_dir, "comparison.csv", comparison_table(reports))
     _write(out_dir, "manifest.json", manifest.to_json())
     if failures:
+        records = [record for record, _ in failures]
         _write(out_dir, "failures.json",
-               json.dumps(failures, indent=2, sort_keys=True) + "\n")
-        first = failures[0]["error"]
-        print(f"error: {first}", file=sys.stderr)
-        return EXIT_NUMERIC if first.split(":")[0] in (
-            "TrainingError", "ConditioningError") else EXIT_CONFIG
+               json.dumps(records, indent=2, sort_keys=True) + "\n")
+        first, code = failures[0]
+        print(f"error: {first['error']}", file=sys.stderr)
+        return code
     return EXIT_OK
 
 

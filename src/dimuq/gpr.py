@@ -62,16 +62,19 @@ def _pairwise_distances(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def gram(X1: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Kernel matrix; the white-noise variance lands on the diagonal only when
-    X1 and X2 are the same array object (a self-gram)."""
-    same = X2 is None or X2 is X1
+def gram(X1: np.ndarray, X2: np.ndarray, params: KernelParams,
+         noise: bool = False) -> np.ndarray:
+    """Kernel matrix between the rows of X1 and X2. With ``noise`` (a
+    self-gram of the training rows) the white-noise variance is added to the
+    diagonal; it never depends on whether X1 and X2 are the same object."""
     X1 = np.atleast_2d(np.asarray(X1, dtype=np.float64))
-    X2m = X1 if same else np.atleast_2d(np.asarray(X2, dtype=np.float64))
-    if X1.shape[1] != X2m.shape[1]:
-        raise ConfigError(f"feature dimension mismatch: {X1.shape[1]} vs {X2m.shape[1]}")
-    K = matern32(_pairwise_distances(X1, X2m), params.amplitude, params.length_scale)
-    if same:
+    X2 = np.atleast_2d(np.asarray(X2, dtype=np.float64))
+    if X1.shape[1] != X2.shape[1]:
+        raise ConfigError(f"feature dimension mismatch: {X1.shape[1]} vs {X2.shape[1]}")
+    K = matern32(_pairwise_distances(X1, X2), params.amplitude, params.length_scale)
+    if noise:
+        if X1.shape[0] != X2.shape[0]:
+            raise ConfigError("the noise term needs a square self-gram")
         K = K + params.noise_level * np.eye(X1.shape[0])
     return K
 
@@ -135,7 +138,7 @@ class GprModel:
 def build_gpr(matrix, params: KernelParams) -> GprModel:
     """Condition on the training data at fixed kernel parameters."""
     X, y = matrix.features, matrix.targets
-    K = gram(X, X, params)
+    K = gram(X, X, params, noise=True)
     L, jitter = _chol_with_jitter(K)
     alpha = cho_solve((L, True), y)
     lml = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum()

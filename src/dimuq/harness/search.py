@@ -61,13 +61,20 @@ def grid_search(family: str, grid: HyperGrid, train: DesignMatrix, k: int,
     candidates = grid.candidates()
     folds = kfold_indices(train.n_rows, k, seed)
     all_rows = np.arange(train.n_rows)
-    fold_pairs = []
+    # the fold's scaler and scaled sides do not depend on the candidate
+    scaled_folds = []
     for fold_id, validation in enumerate(folds):
         training = np.setdiff1d(all_rows, validation)
         if instrumentation is not None:
             instrumentation("grid_fold", fold=fold_id, train_rows=training,
                             validation_rows=validation)
-        fold_pairs.append((training, validation))
+        fit_part = train.take(training)
+        val_part = train.take(validation)
+        scaler = fit_scaler(fit_part, scaler_method)
+        if instrumentation is not None:
+            instrumentation("grid_scaler_fit", rows=training)
+        scaled_folds.append((apply_scaler(scaler, fit_part),
+                             apply_scaler(scaler, val_part).features, val_part.targets))
 
     mean_scores: list[float] = []
     fold_scores: list[tuple] = []
@@ -75,17 +82,12 @@ def grid_search(family: str, grid: HyperGrid, train: DesignMatrix, k: int,
     for candidate in candidates:
         scores = []
         failure = None
-        for training, validation in fold_pairs:
-            fit_part = train.take(training)
-            val_part = train.take(validation)
-            scaler = fit_scaler(fit_part, scaler_method)
-            if instrumentation is not None:
-                instrumentation("grid_scaler_fit", rows=training)
+        for fit_scaled, val_features, val_targets in scaled_folds:
             try:
                 model = build_model(family, candidate, seed=seed)
-                model.fit(apply_scaler(scaler, fit_part))
-                predicted = model.predict(apply_scaler(scaler, val_part).features)
-                scores.append(-rmse(predicted.values, val_part.targets))
+                model.fit(fit_scaled)
+                predicted = model.predict(val_features)
+                scores.append(-rmse(predicted.values, val_targets))
             except DimuqError as exc:
                 failure = f"{type(exc).__name__}: {exc}"
                 break

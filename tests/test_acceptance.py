@@ -198,7 +198,7 @@ class TestCriterion8Properties:
             from helpers import matrix_from_arrays
             model = build_gpr(matrix_from_arrays(X, y), params)
             Q = np.array([[0.2], [0.9]])
-            K_inv = np.linalg.inv(gram(X, X, params))
+            K_inv = np.linalg.inv(gram(X, X, params, noise=True))
             k_cross = gram(X, Q, params)
             dist = predict_gpr(model, Q)
             np.testing.assert_allclose(dist.means, k_cross.T @ K_inv @ y, atol=1e-8)

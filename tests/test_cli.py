@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from dimuq import cli
 from dimuq.cli import main
 from dimuq.data import generate_synthetic, write_csv
+from dimuq.errors import ConditioningError
 
 
 @pytest.fixture()
@@ -216,6 +218,25 @@ class TestPartialFailure:
         assert (out / "report_knn.json").exists()  # the good family still lands
         failures = read_json(out / "failures.json")
         assert failures and "knn" in failures[0]["family"]
+
+    def test_conditioning_failure_exits_4(self, tmp_path, monkeypatch):
+        def ill_conditioned(family, *args, **kwargs):
+            raise ConditioningError("kernel matrix is not positive definite")
+
+        monkeypatch.setattr(cli, "run_evaluation", ill_conditioned)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "synthetic": {"n": 60, "noise_sigma": 0.05, "seed": 5},
+            "protocol": {"outer_iterations": 1, "inner_iterations": 1,
+                         "fractions": [0.8, 0.2, 0.0], "k": 3, "seed": 7},
+            "families": [{"family": "knn", "grid": {"k": [4]}}],
+        }))
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--config", config, "--out", out) == cli.EXIT_NUMERIC
+        assert read_json(out / "failures.json") == [{
+            "family": "knn",
+            "error": "ConditioningError: kernel matrix is not positive definite",
+        }]
 
 
 class TestBadUqParams:

@@ -35,7 +35,7 @@ class TestMatern32:
 class TestGram:
     def test_self_gram_single_point_includes_noise(self):
         X = np.array([[0.3, 0.4]])
-        K = gram(X, X, KernelParams(amplitude=1.0, noise_level=1.0))
+        K = gram(X, X, KernelParams(amplitude=1.0, noise_level=1.0), noise=True)
         np.testing.assert_allclose(K, [[2.0]])
 
     def test_cross_gram_carries_no_noise(self):
@@ -52,6 +52,17 @@ class TestGram:
             for j in range(3):
                 r = abs(X[i, 0] - X[j, 0])
                 assert K[i, j] == pytest.approx(matern32(r, 1.4, 0.7), rel=1e-12)
+
+    def test_noise_does_not_depend_on_array_identity(self):
+        X = np.array([[0.3, 0.4], [1.0, -0.2]])
+        params = KernelParams(amplitude=1.0, noise_level=0.5)
+        np.testing.assert_array_equal(gram(X, X, params), gram(X, X.copy(), params))
+        np.testing.assert_array_equal(gram(X, X, params, noise=True),
+                                      gram(X, X.copy(), params, noise=True))
+
+    def test_noise_needs_square_gram(self):
+        with pytest.raises(ConfigError):
+            gram(np.zeros((3, 2)), np.zeros((1, 2)), KernelParams(), noise=True)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
@@ -89,7 +100,7 @@ class TestLogMarginalLikelihood:
         lml_1 = log_marginal_likelihood(X, y, params)
         lml_2 = log_marginal_likelihood(X, 2 * y, params)
         # lml = -0.5 q - logdet - c where q is the quadratic form: q scales by 4
-        constant = -np.log(np.diag(np.linalg.cholesky(gram(X, X, params)))).sum() \
+        constant = -np.log(np.diag(np.linalg.cholesky(gram(X, X, params, noise=True)))).sum() \
             - 0.5 * n * np.log(2 * np.pi)
         q1 = -(lml_1 - constant)
         q2 = -(lml_2 - constant)
@@ -136,7 +147,7 @@ class TestFitAndPredict:
         params = KernelParams(amplitude=0.9, length_scale=0.8, noise_level=0.05)
         model = build_gpr(matrix_from_arrays(X, y), params)
         # oracle: direct matrix inversion with the same kernel
-        K = gram(X, X, params)
+        K = gram(X, X, params, noise=True)
         Q = np.array([[0.2], [0.9]])
         k_cross = gram(X, Q, params)
         K_inv = np.linalg.inv(K)
@@ -161,6 +172,17 @@ class TestFitAndPredict:
         Q = rng.uniform(-1, 1, (5, 1))
         np.testing.assert_allclose(predict_gpr(base, Q).means,
                                    predict_gpr(dup, Q).means, atol=1e-6)
+
+    def test_prediction_at_training_rows_ignores_array_identity(self):
+        rng = np.random.default_rng(11)
+        train = matrix_from_arrays(rng.uniform(-1, 1, (12, 2)),
+                                   rng.standard_normal(12) * 0.3)
+        model = build_gpr(train, KernelParams(amplitude=0.5, length_scale=0.7,
+                                              noise_level=0.2))
+        same = predict_gpr(model, model.X_train)
+        copied = predict_gpr(model, model.X_train.copy())
+        np.testing.assert_allclose(same.means, copied.means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(same.stddevs, copied.stddevs, rtol=0, atol=1e-12)
 
     def test_mean_interpolates_at_tiny_noise(self):
         X = np.linspace(-1, 1, 5)[:, None]

@@ -158,6 +158,21 @@ class TestGridSearch:
         assert result.mean_scores[1] == -np.inf
         assert result.errors[1] is not None
 
+    def test_one_scaler_fit_per_fold_on_its_training_rows(self):
+        data = synthetic_matrix(60, 0.05, seed=6)
+        events = []
+
+        def recorder(kind, **info):
+            events.append((kind, info))
+
+        grid_search("knn", HyperGrid("knn", {"k": [2, 3, 4]}), data, k=4, seed=0,
+                    instrumentation=recorder)
+        folds = [info for kind, info in events if kind == "grid_fold"]
+        fits = [info for kind, info in events if kind == "grid_scaler_fit"]
+        assert len(folds) == len(fits) == 4
+        for fold, fit in zip(folds, fits):
+            np.testing.assert_array_equal(fit["rows"], fold["train_rows"])
+
     def test_all_candidates_failed_raises(self):
         data = synthetic_matrix(40, 0.05, seed=5)
         grid = HyperGrid("knn", {"k": [4000]})

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from dimuq import synthetic_matrix
+from dimuq.data import apply_scaler, fit_scaler
 from dimuq.errors import ConfigError
 from dimuq.models import SvrConfig, SvrRegressor
 from dimuq.models.svr import rbf_kernel, resolve_gamma
@@ -104,3 +106,58 @@ class TestSvr:
             SvrConfig(c=0.0)
         with pytest.raises(ConfigError):
             SvrConfig(kernel="linear")
+
+
+class TestSecondOrderSelection:
+    """Oracles for the solver's pair selection on a realistic problem size."""
+
+    @pytest.fixture(scope="class")
+    def scaled_fixture(self):
+        data = synthetic_matrix(200, 0.05, seed=7)
+        return apply_scaler(fit_scaler(data, "zscore"), data)
+
+    def test_fixture_fit_converges_inside_box_and_balance(self, scaled_fixture):
+        config = SvrConfig()
+        model = SvrRegressor(config).fit(scaled_fixture)
+        assert model.converged
+        assert model.kkt_violation < config.tolerance
+        beta = model.dual_coefficients
+        assert np.all(np.abs(beta) <= config.c + 1e-12)
+        assert abs(beta.sum()) < 1e-10
+
+    def test_dual_objective_within_kkt_bound_of_qp_solver_at_default_tolerance(self):
+        # By convexity, a KKT gap delta leaves the objective at most
+        # delta / 2 * ||beta - beta_opt||_1 above the optimum.
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1, 1, (25, 2))
+        y = np.sin(2 * X[:, 0]) + 0.1 * rng.standard_normal(25)
+        config = SvrConfig(epsilon=0.05, c=2.0)
+        model = SvrRegressor(config).fit(matrix_from_arrays(X, y))
+        K = rbf_kernel(X, X, resolve_gamma(config.gamma, X))
+
+        def negative_dual(beta):
+            return 0.5 * beta @ K @ beta - y @ beta + config.epsilon * np.abs(beta).sum()
+
+        reference = minimize(
+            negative_dual, np.zeros(25), method="SLSQP",
+            constraints={"type": "eq", "fun": lambda b: b.sum()},
+            bounds=[(-config.c, config.c)] * 25,
+            options={"maxiter": 2000, "ftol": 1e-14},
+        )
+        beta = model.dual_coefficients
+        allowed = 0.5 * model.kkt_violation * np.abs(beta - reference.x).sum()
+        assert negative_dual(beta) <= reference.fun + allowed + 1e-6
+
+    @pytest.mark.parametrize("max_passes, tolerance", [(1, 1e-9), (200, 1e-3)])
+    def test_steps_stay_within_budget(self, scaled_fixture, max_passes, tolerance):
+        config = SvrConfig(tolerance=tolerance, max_passes=max_passes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = SvrRegressor(config).fit(scaled_fixture)
+        diagnostics = model.diagnostics()
+        assert 0 < diagnostics["steps"] <= max_passes * scaled_fixture.n_rows
+        assert diagnostics["converged"] == model.converged
+        assert diagnostics["kkt_violation"] == model.kkt_violation
+
+    def test_diagnostics_empty_before_fit(self):
+        assert SvrRegressor().diagnostics() == {}
