@@ -3,6 +3,7 @@
 from .layers import BatchNormLayer, DenseLayer, VariationalDenseLayer, softplus, softplus_inverse
 from .losses import kl_diag_gaussians, nll_loss
 from .models import (
+    DEFAULT_ENSEMBLE_EPOCHS,
     EnsembleConfig,
     EnsembleNetwork,
     GaussianHead,
@@ -24,7 +25,7 @@ __all__ = [
     "BatchNormLayer", "DenseLayer", "VariationalDenseLayer",
     "softplus", "softplus_inverse",
     "nll_loss", "kl_diag_gaussians", "elbo_loss",
-    "GaussianHead", "HeadConfig", "EnsembleConfig",
+    "GaussianHead", "HeadConfig", "EnsembleConfig", "DEFAULT_ENSEMBLE_EPOCHS",
     "HeadNetwork", "EnsembleNetwork",
     "train_head_model", "train_ensemble_model",
     "EnsembleOutput", "UncertaintyDecomposition",

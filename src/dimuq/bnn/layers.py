@@ -1,12 +1,16 @@
 """Network building blocks with explicit forward/backward passes.
 
 Everything is plain numpy; each layer caches what its backward pass needs
-and accumulates parameter gradients aligned with ``params()``.
+and writes parameter gradients, in place, into arrays aligned with
+``params()``. A network packs those arrays into one parameter vector and one
+gradient vector with ``pack_layers``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..optim import flat_views
 
 
 def softplus(x):
@@ -19,19 +23,46 @@ def softplus_inverse(y):
 
 
 def sigmoid(x):
-    out = np.empty_like(np.asarray(x, dtype=np.float64))
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: exp never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 STDDEV_FLOOR = 1e-6
 
 
-class DenseLayer:
+class _Trainable:
+    """A layer whose trainable arrays are the attributes named in ``PARAMS``,
+    with their gradients in the attributes named in ``GRADS``."""
+
+    PARAMS: tuple[str, ...] = ()
+    GRADS: tuple[str, ...] = ()
+
+    def params(self):
+        return [getattr(self, name) for name in self.PARAMS]
+
+    def grads(self):
+        return [getattr(self, name) for name in self.GRADS]
+
+
+def pack_layers(layers) -> tuple[np.ndarray, np.ndarray]:
+    """Rebind every parameter and gradient array of ``layers`` to views of one
+    parameter vector and one gradient vector, in ``params()`` order, and
+    return the two vectors."""
+    slots = [(layer, p, g) for layer in layers for p, g in zip(layer.PARAMS, layer.GRADS)]
+    theta, values = flat_views([getattr(layer, p) for layer, p, _ in slots])
+    gradient, grads = flat_views([getattr(layer, g) for layer, _, g in slots])
+    for (layer, p, g), value, grad in zip(slots, values, grads):
+        setattr(layer, p, value)
+        setattr(layer, g, grad)
+    return theta, gradient
+
+
+class DenseLayer(_Trainable):
     """Affine map with Glorot-uniform weights."""
+
+    PARAMS = ("W", "b")
+    GRADS = ("dW", "db")
 
     def __init__(self, n_in: int, n_out: int, rng):
         limit = np.sqrt(6.0 / (n_in + n_out))
@@ -40,12 +71,6 @@ class DenseLayer:
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
         self._x: np.ndarray | None = None
-
-    def params(self):
-        return [self.W, self.b]
-
-    def grads(self):
-        return [self.dW, self.db]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
@@ -61,12 +86,15 @@ class DenseLayer:
         return dz @ self.W.T
 
 
-class BatchNormLayer:
+class BatchNormLayer(_Trainable):
     """Batch normalization with trainable scale/shift and running statistics.
 
     Training mode normalizes by batch statistics and (optionally) updates the
     running estimates; inference mode uses the running estimates only.
     """
+
+    PARAMS = ("gamma", "beta")
+    GRADS = ("dgamma", "dbeta")
 
     def __init__(self, n_units: int, momentum: float = 0.99, eps: float = 1e-3):
         self.gamma = np.ones(n_units)
@@ -80,23 +108,31 @@ class BatchNormLayer:
         self._xhat: np.ndarray | None = None
         self._inv_std: np.ndarray | None = None
 
-    def params(self):
-        return [self.gamma, self.beta]
+    def batch_moments(self, x: np.ndarray):
+        """Batch mean, variance, 1/sqrt(variance + eps) and standardized batch."""
+        mean = x.mean(axis=0)
+        centred = x - mean
+        var = (centred * centred).sum(axis=0) / x.shape[0]  # == x.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        return mean, var, inv_std, centred * inv_std
 
-    def grads(self):
-        return [self.dgamma, self.dbeta]
+    def update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
+        self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
+        self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
 
     def forward(self, x: np.ndarray, training: bool, update_running: bool = True) -> np.ndarray:
         if training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            mean, var, inv_std, xhat = self.batch_moments(x)
             if update_running:
-                self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-                self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+                self.update_running(mean, var)
         else:
-            mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            xhat = (x - self.running_mean) * inv_std
+        return self.scale_shift(xhat, inv_std, training)
+
+    def scale_shift(self, xhat: np.ndarray, inv_std: np.ndarray,
+                    training: bool = True) -> np.ndarray:
+        """gamma * xhat + beta, caching what the backward pass needs."""
         self._xhat, self._inv_std = xhat, inv_std
         self._training = training
         return self.gamma * xhat + self.beta
@@ -106,17 +142,22 @@ class BatchNormLayer:
         inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
         return self.gamma * (x - self.running_mean) * inv_std + self.beta
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat, inv_std = self._xhat, self._inv_std
-        self.dgamma[...] = (dy * xhat).sum(axis=0)
+    def param_backward(self, dy: np.ndarray) -> None:
+        """Write the scale/shift gradients only, for a layer whose input
+        gradient nobody reads."""
+        self.dgamma[...] = (dy * self._xhat).sum(axis=0)
         self.dbeta[...] = dy.sum(axis=0)
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        self.param_backward(dy)
+        xhat, inv_std = self._xhat, self._inv_std
         dxhat = dy * self.gamma
         if not self._training:
             return dxhat * inv_std
         return inv_std * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
 
 
-class VariationalDenseLayer:
+class VariationalDenseLayer(_Trainable):
     """Dense layer whose weights carry independent Gaussian posteriors.
 
     Each weight and bias has a mean and a pre-softplus scale; a forward pass
@@ -124,6 +165,9 @@ class VariationalDenseLayer:
     reparameterization w = mu + softplus(rho) * eps), so gradients flow into
     both mean and scale. The prior is a standard normal per parameter.
     """
+
+    PARAMS = ("mu_W", "rho_W", "mu_b", "rho_b")
+    GRADS = ("dmu_W", "drho_W", "dmu_b", "drho_b")
 
     def __init__(self, n_in: int, n_out: int, rng, init_mu_std: float = 0.1,
                  init_sigma: float = 0.05):
@@ -137,12 +181,6 @@ class VariationalDenseLayer:
         self.drho_b = np.zeros_like(self.rho_b)
         self._cache = None
 
-    def params(self):
-        return [self.mu_W, self.rho_W, self.mu_b, self.rho_b]
-
-    def grads(self):
-        return [self.dmu_W, self.drho_W, self.dmu_b, self.drho_b]
-
     @property
     def n_parameters(self) -> int:
         return sum(p.size for p in self.params())
@@ -150,44 +188,53 @@ class VariationalDenseLayer:
     def draw_noise(self, rng):
         return rng.standard_normal(self.mu_W.shape), rng.standard_normal(self.mu_b.shape)
 
-    def sampled_weights(self, noise):
-        eps_W, eps_b = noise
-        sigma_W = softplus(self.rho_W)
-        sigma_b = softplus(self.rho_b)
+    def posterior_stddevs(self):
+        """softplus(rho) of the weights and of the biases."""
+        return softplus(self.rho_W), softplus(self.rho_b)
+
+    def sampled_weights(self, noise, stddevs):
+        (eps_W, eps_b), (sigma_W, sigma_b) = noise, stddevs
         return self.mu_W + sigma_W * eps_W, self.mu_b + sigma_b * eps_b
 
     def forward(self, x: np.ndarray, noise) -> np.ndarray:
-        W, b = self.sampled_weights(noise)
-        self._cache = (x, noise, W)
+        """Sampled pass; caches the draw and the posterior stddevs, which
+        ``forward_kl`` and ``backward`` reuse until the next forward pass."""
+        stddevs = self.posterior_stddevs()
+        W, b = self.sampled_weights(noise, stddevs)
+        self._cache = (x, noise, W, stddevs)
         return x @ W + b
 
     def apply(self, x: np.ndarray, noise) -> np.ndarray:
         """Cache-free sampled forward pass, safe under concurrent calls."""
-        W, b = self.sampled_weights(noise)
+        W, b = self.sampled_weights(noise, self.posterior_stddevs())
         return x @ W + b
 
-    def backward(self, dz: np.ndarray) -> np.ndarray:
-        x, (eps_W, eps_b), W = self._cache
+    def backward(self, dz: np.ndarray, kl_weight: float) -> np.ndarray:
+        """Write d(data loss + kl_weight * KL)/d(mu, rho) of the last forward
+        pass; return the input gradient."""
+        x, (eps_W, eps_b), W, (sigma_W, sigma_b) = self._cache
         dW = x.T @ dz
         db = dz.sum(axis=0)
-        self.dmu_W[...] = dW
-        self.drho_W[...] = dW * eps_W * sigmoid(self.rho_W)
-        self.dmu_b[...] = db
-        self.drho_b[...] = db * eps_b * sigmoid(self.rho_b)
+        slope_W = sigmoid(self.rho_W)  # d softplus(rho) / d rho
+        slope_b = sigmoid(self.rho_b)
+        self.dmu_W[...] = dW + kl_weight * self.mu_W
+        self.drho_W[...] = (dW * eps_W * slope_W
+                            + kl_weight * (sigma_W - 1.0 / sigma_W) * slope_W)
+        self.dmu_b[...] = db + kl_weight * self.mu_b
+        self.drho_b[...] = (db * eps_b * slope_b
+                            + kl_weight * (sigma_b - 1.0 / sigma_b) * slope_b)
         return dz @ W.T
 
-    def kl_to_standard_normal(self) -> float:
-        """Analytic KL(posterior || standard normal), summed over parameters."""
+    def _kl(self, stddevs) -> float:
         total = 0.0
-        for mu, rho in ((self.mu_W, self.rho_W), (self.mu_b, self.rho_b)):
-            sigma = softplus(rho)
+        for mu, sigma in zip((self.mu_W, self.mu_b), stddevs):
             total += float(np.sum(-np.log(sigma) + 0.5 * (sigma ** 2 + mu ** 2) - 0.5))
         return total
 
-    def add_kl_grads(self, weight: float) -> None:
-        """Accumulate d(weight * KL)/d(mu, rho) on top of the data gradients."""
-        for mu, rho, dmu, drho in ((self.mu_W, self.rho_W, self.dmu_W, self.drho_W),
-                                   (self.mu_b, self.rho_b, self.dmu_b, self.drho_b)):
-            sigma = softplus(rho)
-            dmu += weight * mu
-            drho += weight * (sigma - 1.0 / sigma) * sigmoid(rho)
+    def kl_to_standard_normal(self) -> float:
+        """Analytic KL(posterior || standard normal), summed over parameters."""
+        return self._kl(self.posterior_stddevs())
+
+    def forward_kl(self) -> float:
+        """The KL term of the posterior the last forward pass sampled from."""
+        return self._kl(self._cache[3])

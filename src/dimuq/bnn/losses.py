@@ -22,6 +22,12 @@ def nll_loss(means, stddevs, targets) -> float:
         raise ConfigError("nll_loss inputs must be finite")
     if np.any(stddevs <= 0):
         raise ConfigError("stddevs must be > 0")
+    return gaussian_nll(means, stddevs, targets)
+
+
+def gaussian_nll(means, stddevs, targets) -> float:
+    """``nll_loss`` on 1-D float arrays without input checks: training loops
+    check the loss itself, which is non-finite when the inputs are."""
     var = stddevs ** 2
     per_sample = 0.5 * (_LOG_2PI + np.log(var)) + (targets - means) ** 2 / (2.0 * var)
     return float(per_sample.mean())

@@ -18,16 +18,19 @@ import numpy as np
 
 from ..errors import ConfigError, TrainingError
 from ..metrics import Prediction, PredictiveDistribution
-from ..optim import Adam, RmsProp
+from ..optim import Adam, FlatParameters, RmsProp
 from .layers import (
     STDDEV_FLOOR,
     BatchNormLayer,
     DenseLayer,
     VariationalDenseLayer,
+    pack_layers,
     sigmoid,
     softplus,
 )
-from .losses import nll_grads, nll_loss
+from .losses import gaussian_nll, nll_grads
+
+DEFAULT_ENSEMBLE_EPOCHS = 3000
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class EnsembleConfig:
             raise ConfigError("n_units must be >= 1")
 
 
-class HeadNetwork:
+class HeadNetwork(FlatParameters):
     """Deterministic trunk with a trainable-mean/-variance Gaussian output."""
 
     def __init__(self, n_inputs: int, hidden_sizes=(24, 16, 8), seed: int = 0):
@@ -83,29 +86,22 @@ class HeadNetwork:
             self.hidden.append((DenseLayer(previous, width, rng), BatchNormLayer(width)))
             previous = width
         self.output = DenseLayer(previous, 2, rng)
+        self.theta, self.gradient = pack_layers(self._layers())
         self._relu_cache: list[np.ndarray] = []
+        self._raw_scale: np.ndarray | None = None
         self.loss_trace: list[tuple[int, float, float, float]] = []
 
+    def _layers(self):
+        return [layer for pair in self.hidden for layer in pair] + [self.output]
+
     def params(self):
-        out = []
-        for dense, bn in self.hidden:
-            out += dense.params() + bn.params()
-        return out + self.output.params()
+        return [p for layer in self._layers() for p in layer.params()]
 
     def grads(self):
-        out = []
-        for dense, bn in self.hidden:
-            out += dense.grads() + bn.grads()
-        return out + self.output.grads()
+        return [g for layer in self._layers() for g in layer.grads()]
 
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params()])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self.params():
-            p[...] = flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+    def diagnostics(self) -> dict:
+        return _trace_diagnostics(self.loss_trace, "regularizer")
 
     def forward(self, X: np.ndarray, training: bool, update_running: bool = True) -> GaussianHead:
         self._relu_cache = []
@@ -114,6 +110,7 @@ class HeadNetwork:
             h = np.maximum(bn.forward(dense.forward(h), training, update_running), 0.0)
             self._relu_cache.append(h)
         raw = self.output.forward(h)
+        self._raw_scale = raw[:, 1]
         return GaussianHead(raw_mean=raw[:, 0], raw_scale=raw[:, 1])
 
     def loss_and_grads(self, X, y, kl_weight: float, training: bool = True,
@@ -123,7 +120,7 @@ class HeadNetwork:
         head = self.forward(X, training, update_running)
         mu, sigma = head.means, head.stddevs
         m = y.size
-        nll = nll_loss(mu, sigma, y)
+        nll = gaussian_nll(mu, sigma, y)
         d_mu, d_sigma = nll_grads(mu, sigma, y)
         reg = 0.0
         if kl_weight > 0.0:
@@ -155,7 +152,7 @@ class HeadNetwork:
         return Prediction(self.infer(features).means)
 
 
-class EnsembleNetwork:
+class EnsembleNetwork(FlatParameters):
     """Variational-weight network sampled as an ensemble at prediction time."""
 
     def __init__(self, n_inputs: int, n_units: int = 8, seed: int = 0):
@@ -165,23 +162,21 @@ class EnsembleNetwork:
         self.input_norm = BatchNormLayer(n_inputs)
         self.variational = VariationalDenseLayer(n_inputs, n_units, rng)
         self.output = DenseLayer(n_units, 2, rng)
+        self.theta, self.gradient = pack_layers(self._layers())
         self._sigmoid_cache: np.ndarray | None = None
         self.loss_trace: list[tuple[int, float, float, float]] = []
 
+    def _layers(self):
+        return [self.input_norm, self.variational, self.output]
+
     def params(self):
-        return self.input_norm.params() + self.variational.params() + self.output.params()
+        return [p for layer in self._layers() for p in layer.params()]
 
     def grads(self):
-        return self.input_norm.grads() + self.variational.grads() + self.output.grads()
+        return [g for layer in self._layers() for g in layer.grads()]
 
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params()])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self.params():
-            p[...] = flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+    def diagnostics(self) -> dict:
+        return _trace_diagnostics(self.loss_trace, "kl")
 
     def draw_noise(self, rng):
         return self.variational.draw_noise(rng)
@@ -189,7 +184,11 @@ class EnsembleNetwork:
     def forward(self, X: np.ndarray, noise, training: bool,
                 update_running: bool = True) -> GaussianHead:
         h = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        h = self.input_norm.forward(h, training, update_running)
+        return self.forward_normalized(self.input_norm.forward(h, training, update_running),
+                                       noise)
+
+    def forward_normalized(self, h: np.ndarray, noise) -> GaussianHead:
+        """The forward pass from the input normalization's output on."""
         h = sigmoid(self.variational.forward(h, noise))
         self._sigmoid_cache = h
         raw = self.output.forward(h)
@@ -202,12 +201,37 @@ class EnsembleNetwork:
         raw = self.output.apply(h)
         return GaussianHead(raw_mean=raw[:, 0], raw_scale=raw[:, 1])
 
-    def backward_from_head(self, d_mu, d_sigma, raw_scale):
-        dz = np.column_stack([d_mu, d_sigma * sigmoid(raw_scale)])
-        upstream = self.output.backward(dz)
-        upstream = upstream * self._sigmoid_cache * (1.0 - self._sigmoid_cache)
-        upstream = self.variational.backward(upstream)
-        self.input_norm.backward(upstream)
+    def elbo(self, head: GaussianHead, y: np.ndarray, kl_weight: float,
+             with_grads: bool):
+        """(total, nll, kl) of the last forward pass, which returned ``head``;
+        ``with_grads`` also fills the gradient vector."""
+        mu, sigma = head.means, head.stddevs
+        nll = gaussian_nll(mu, sigma, y)
+        kl = self.variational.forward_kl()
+        total = nll + kl_weight * kl
+        if with_grads:
+            d_mu, d_sigma = nll_grads(mu, sigma, y)
+            dz = np.column_stack([d_mu, d_sigma * sigmoid(head.raw_scale)])
+            upstream = self.output.backward(dz)
+            upstream = upstream * self._sigmoid_cache * (1.0 - self._sigmoid_cache)
+            upstream = self.variational.backward(upstream, kl_weight)
+            self.input_norm.param_backward(upstream)
+        return total, nll, kl
+
+
+def _trace_diagnostics(loss_trace, penalty: str) -> dict:
+    if not loss_trace:
+        return {"epochs": 0}
+    epoch, nll, penalty_value, total = loss_trace[-1]
+    return {"epochs": epoch + 1, "nll": nll, penalty: penalty_value, "total": total}
+
+
+def _check_finite(epoch: int, total: float, raw_scale: np.ndarray) -> None:
+    # softplus takes a raw scale of -inf to a finite stddev, so a loss that
+    # is finite does not prove the network output is
+    if not (np.isfinite(total) and np.isfinite(raw_scale).all()):
+        raise TrainingError("training loss or network output became non-finite",
+                            iteration=epoch)
 
 
 def elbo_loss(model: EnsembleNetwork, X, y, kl_weight: float, noise=None, rng=None,
@@ -224,15 +248,7 @@ def elbo_loss(model: EnsembleNetwork, X, y, kl_weight: float, noise=None, rng=No
             raise ConfigError("elbo_loss needs either frozen noise or an rng")
         noise = model.draw_noise(rng)
     head = model.forward(X, noise, training, update_running)
-    mu, sigma = head.means, head.stddevs
-    nll = nll_loss(mu, sigma, y)
-    kl = model.variational.kl_to_standard_normal()
-    total = nll + kl_weight * kl
-    if with_grads:
-        d_mu, d_sigma = nll_grads(mu, sigma, y)
-        model.backward_from_head(d_mu, d_sigma, head.raw_scale)
-        model.variational.add_kl_grads(kl_weight)
-    return total, nll, kl
+    return model.elbo(head, y, kl_weight, with_grads)
 
 
 def train_head_model(matrix, config: HeadConfig | None = None, epochs: int = 4000,
@@ -250,29 +266,33 @@ def train_head_model(matrix, config: HeadConfig | None = None, epochs: int = 400
     for epoch in range(epochs):
         nll, reg = model.loss_and_grads(X, y, kl_weight, training=True)
         total = nll + reg
-        if not np.isfinite(total):
-            raise TrainingError("training loss became non-finite", iteration=epoch)
+        _check_finite(epoch, total, model._raw_scale)
         model.loss_trace.append((epoch, nll, reg, total))
-        optimizer.step(model.params(), model.grads())
+        optimizer.step([model.theta], [model.gradient])
     return model
 
 
 def train_ensemble_model(matrix, config: EnsembleConfig | None = None,
-                         epochs: int = 3000, seed: int = 0) -> EnsembleNetwork:
+                         epochs: int = DEFAULT_ENSEMBLE_EPOCHS,
+                         seed: int = 0) -> EnsembleNetwork:
     """RMSprop on the single-draw variational objective; deterministic given seed."""
     config = config or EnsembleConfig()
     if matrix.n_rows == 0:
         raise ConfigError("cannot train on empty data")
-    X, y = matrix.features, matrix.targets
+    X, y = matrix.features, np.asarray(matrix.targets, dtype=np.float64).ravel()
     kl_weight = config.kl_weight if config.kl_weight is not None else 1.0 / matrix.n_rows
     model = EnsembleNetwork(matrix.width, config.n_units, seed=seed)
     train_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     optimizer = RmsProp(lr=config.learning_rate)
+    # full batch: the input normalization sees the same X, so the same
+    # moments, every epoch
+    mean, var, inv_std, xhat = model.input_norm.batch_moments(X)
     for epoch in range(epochs):
-        total, nll, kl = elbo_loss(model, X, y, kl_weight, rng=train_rng,
-                                   training=True, update_running=True, with_grads=True)
-        if not np.isfinite(total):
-            raise TrainingError("training loss became non-finite", iteration=epoch)
+        noise = model.draw_noise(train_rng)
+        model.input_norm.update_running(mean, var)
+        head = model.forward_normalized(model.input_norm.scale_shift(xhat, inv_std), noise)
+        total, nll, kl = model.elbo(head, y, kl_weight, with_grads=True)
+        _check_finite(epoch, total, head.raw_scale)
         model.loss_trace.append((epoch, nll, kl, total))
-        optimizer.step(model.params(), model.grads())
+        optimizer.step([model.theta], [model.gradient])
     return model

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .bnn import (
+    DEFAULT_ENSEMBLE_EPOCHS,
     EnsembleConfig,
     HeadConfig,
     decompose_uncertainty,
@@ -29,16 +30,13 @@ from .bnn import (
 )
 from .data import apply_scaler, encode, fit_scaler, generate_synthetic, load_csv
 from .errors import (
-    ConditioningError,
     ConfigError,
     DimuqError,
-    LayoutMismatchError,
     LevelError,
     ParseError,
     ProtocolError,
     SchemaError,
-    SearchError,
-    TrainingError,
+    numeric_cause,
 )
 from .gpr import GprRegressor, KernelParams
 from .harness import (
@@ -66,8 +64,16 @@ EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
 _INPUT_ERRORS = (SchemaError, ParseError, LevelError)
-_CONFIG_ERRORS = (ConfigError, ProtocolError, SearchError, LayoutMismatchError)
-_NUMERIC_ERRORS = (TrainingError, ConditioningError)
+
+
+def _exit_code(exc: DimuqError) -> int:
+    """Input errors exit 2; numerical failures, also when they are the cause
+    of a search or protocol error, exit 4; every other error exits 3."""
+    if isinstance(exc, _INPUT_ERRORS):
+        return EXIT_INPUT
+    if numeric_cause(exc) is not None:
+        return EXIT_NUMERIC
+    return EXIT_CONFIG
 
 
 @dataclass(frozen=True)
@@ -245,9 +251,8 @@ def cmd_evaluate(args) -> int:
         try:
             report = run_evaluation(family, grid, matrix, protocol)
         except DimuqError as exc:
-            code = EXIT_NUMERIC if isinstance(exc, _NUMERIC_ERRORS) else EXIT_CONFIG
             failures.append(({"family": family, "error": f"{type(exc).__name__}: {exc}"},
-                             code))
+                             _exit_code(exc)))
             continue
         reports.append(report)
         _write(out_dir, f"report_{family}.json", eval_report_to_json(report))
@@ -332,7 +337,7 @@ def _uq_parity_runs(uq_config: dict, matrix, protocol, out_dir: Path) -> None:
         print(f"bnn_head: test RMSE {rmse(dist.means, test.targets):.5f} mm")
     if "bnn_ensemble" in models:
         params = dict(uq_config.get("bnn_ensemble", {}))
-        epochs = int(params.pop("epochs", 3000))
+        epochs = int(params.pop("epochs", DEFAULT_ENSEMBLE_EPOCHS))
         network = train_ensemble_model(train_scaled,
                                        _dataclass_config(EnsembleConfig, params),
                                        epochs=epochs, seed=protocol.seed)
@@ -370,7 +375,7 @@ def cmd_uq(args) -> int:
 
     if uq_config.get("fractions"):
         ensemble_params = dict(uq_config.get("bnn_ensemble", {}))
-        epochs = int(ensemble_params.pop("epochs", 1000))
+        epochs = int(ensemble_params.pop("epochs", DEFAULT_ENSEMBLE_EPOCHS))
         report = uq_trend_study(
             _dataclass_config(EnsembleConfig, ensemble_params), matrix,
             uq_config["fractions"], uq_config.get("seeds", [protocol.seed]),
@@ -423,15 +428,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except DimuqError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _exit_code(exc)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

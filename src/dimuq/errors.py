@@ -37,7 +37,11 @@ class ConfigError(DimuqError):
     """Invalid model or protocol configuration."""
 
 
-class TrainingError(DimuqError):
+class NumericError(DimuqError):
+    """Numerical failure: training diverged or a matrix was ill-conditioned."""
+
+
+class TrainingError(NumericError):
     """Training diverged or otherwise failed; carries the iteration index."""
 
     def __init__(self, message: str, iteration: int | None = None):
@@ -47,7 +51,7 @@ class TrainingError(DimuqError):
         self.iteration = iteration
 
 
-class ConditioningError(DimuqError):
+class ConditioningError(NumericError):
     """Numerical conditioning failure (e.g. Cholesky after jitter escalation)."""
 
 
@@ -57,3 +61,17 @@ class SearchError(DimuqError):
 
 class ProtocolError(DimuqError):
     """Invalid evaluation-protocol configuration."""
+
+
+def numeric_cause(exc: BaseException | None) -> NumericError | None:
+    """The first numerical failure along ``exc`` and its chain of explicit
+    causes (``raise ... from``), or None.
+
+    A search or protocol error raised because every attempt failed is chained
+    to the first failure, so it can still be told apart as numerical.
+    """
+    while exc is not None:
+        if isinstance(exc, NumericError):
+            return exc
+        exc = exc.__cause__
+    return None

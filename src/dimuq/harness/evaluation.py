@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..bnn import decompose_uncertainty, ensemble_predict, train_ensemble_model
-from ..bnn.models import EnsembleConfig
+from ..bnn.models import DEFAULT_ENSEMBLE_EPOCHS, EnsembleConfig
 from ..data import DesignMatrix, apply_scaler, fit_scaler
-from ..errors import ConfigError, DimuqError, ProtocolError
+from ..errors import ConfigError, DimuqError, ProtocolError, numeric_cause
 from ..metrics import rmse
 from .families import build_model
 from .search import HyperGrid, grid_search
@@ -132,13 +132,15 @@ def _run_iteration(family, grid, data, protocol, iteration, fixed_params,
     return record
 
 
-def _iteration_task(args):
-    family, grid, data, protocol, iteration, fixed_params, keep_predictions = args
+def _iteration_task(task, instrumentation=None):
+    family, grid, data, protocol, iteration, fixed_params, keep_predictions = task
     try:
         return _run_iteration(family, grid, data, protocol, iteration, fixed_params,
-                              keep_predictions)
+                              keep_predictions, instrumentation=instrumentation)
     except DimuqError as exc:
-        return {"iteration": iteration, "error": f"{type(exc).__name__}: {exc}"}
+        # the cause is resolved here: a pickled exception loses its __cause__
+        return {"iteration": iteration, "error": f"{type(exc).__name__}: {exc}",
+                "cause": numeric_cause(exc)}
 
 
 def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
@@ -170,27 +172,16 @@ def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
         with ProcessPoolExecutor(max_workers=protocol.workers) as pool:
             records = list(pool.map(_iteration_task, tasks))
     else:
-        records = []
-        for task in tasks:
-            if instrumentation is None:
-                records.append(_iteration_task(task))
-            else:
-                family_, grid_, data_, protocol_, iteration, fixed, keep = task
-                try:
-                    records.append(_run_iteration(family_, grid_, data_, protocol_,
-                                                  iteration, fixed, keep,
-                                                  instrumentation=instrumentation))
-                except DimuqError as exc:
-                    records.append({"iteration": iteration,
-                                    "error": f"{type(exc).__name__}: {exc}"})
+        records = [_iteration_task(task, instrumentation) for task in tasks]
 
     records.sort(key=lambda r: r["iteration"])
     successes = [r for r in records if "error" not in r]
-    failures = tuple((r["iteration"], r["error"]) for r in records if "error" in r)
+    failed = [r for r in records if "error" in r]
+    failures = tuple((r["iteration"], r["error"]) for r in failed)
     if not successes:
         raise ProtocolError(
             f"every iteration failed; first error: {failures[0][1]}"
-        )
+        ) from failed[0]["cause"]
 
     test_rmses = [r["test_rmse"] for r in successes]
     best = min(successes, key=lambda r: r["test_rmse"])
@@ -287,7 +278,8 @@ DEFAULT_TREND_FRACTIONS = (0.1, 0.5, 0.8, 0.9, 0.99)
 
 
 def uq_trend_study(config: EnsembleConfig, data: DesignMatrix, fractions_list=None,
-                   seeds=(0,), n_draws: int = 200, epochs: int = 3000,
+                   seeds=(0,), n_draws: int = 200,
+                   epochs: int = DEFAULT_ENSEMBLE_EPOCHS,
                    scaler_method: str = "zscore") -> UqTrendReport:
     """Train the weight-sampling network at several training fractions and
     decompose its predictive uncertainty on the held-out complement."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from ..bnn import (
+    DEFAULT_ENSEMBLE_EPOCHS,
     EnsembleConfig,
     EnsembleNetwork,
     HeadConfig,
@@ -54,6 +55,9 @@ class _HeadModelAdapter(ProbabilisticRegressor):
             raise ConfigError("predict before fit")
         return self.network.predict(features)
 
+    def diagnostics(self) -> dict:
+        return {} if self.network is None else self.network.diagnostics()
+
     def predict_dist(self, features):
         if self.network is None:
             raise ConfigError("predict before fit")
@@ -72,6 +76,9 @@ class _EnsembleModelAdapter(ProbabilisticRegressor):
         self.network = train_ensemble_model(matrix, self.config, epochs=self.epochs,
                                             seed=self.seed)
         return self
+
+    def diagnostics(self) -> dict:
+        return {} if self.network is None else self.network.diagnostics()
 
     def _ensemble(self, features):
         from ..bnn import ensemble_predict
@@ -163,7 +170,7 @@ def _build_bnn_head(params, seed):
 
 def _build_bnn_ensemble(params, seed):
     params = dict(params)
-    epochs = params.pop("epochs", 3000)
+    epochs = params.pop("epochs", DEFAULT_ENSEMBLE_EPOCHS)
     n_draws = params.pop("n_draws", 200)
     bnn_seed = params.pop("seed", seed)
     config = EnsembleConfig(**_config_kwargs(EnsembleConfig, params))

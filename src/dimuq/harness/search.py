@@ -79,6 +79,7 @@ def grid_search(family: str, grid: HyperGrid, train: DesignMatrix, k: int,
     mean_scores: list[float] = []
     fold_scores: list[tuple] = []
     errors: list[str | None] = []
+    first_failure = None
     for candidate in candidates:
         scores = []
         failure = None
@@ -90,6 +91,7 @@ def grid_search(family: str, grid: HyperGrid, train: DesignMatrix, k: int,
                 scores.append(-rmse(predicted.values, val_targets))
             except DimuqError as exc:
                 failure = f"{type(exc).__name__}: {exc}"
+                first_failure = first_failure or exc
                 break
         if failure is None:
             mean_scores.append(float(np.mean(scores)))
@@ -103,7 +105,7 @@ def grid_search(family: str, grid: HyperGrid, train: DesignMatrix, k: int,
     if not np.isfinite(np.max(mean_scores)):
         raise SearchError(
             f"every candidate failed; first error: {next(e for e in errors if e)}"
-        )
+        ) from first_failure
     chosen = int(np.argmax(mean_scores))
     return CvResult(family=family, candidates=tuple(candidates),
                     mean_scores=tuple(mean_scores), fold_scores=tuple(fold_scores),

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ConfigError, TrainingError
 from ..metrics import Prediction, Regressor
-from ..optim import Adam, minimize_lbfgs
+from ..optim import Adam, FlatParameters, flat_views, minimize_lbfgs
 
 ACTIVATIONS = ("tanh", "relu")
 OPTIMIZERS = ("lbfgs", "adam")
@@ -44,7 +44,7 @@ def _glorot_uniform(rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class MlpRegressor(Regressor):
+class MlpRegressor(FlatParameters, Regressor):
     def __init__(self, config: MlpConfig | None = None):
         self.config = config or MlpConfig()
         self.weights: list[np.ndarray] | None = None
@@ -56,21 +56,14 @@ class MlpRegressor(Regressor):
     def init_params(self, n_inputs: int) -> None:
         rng = np.random.default_rng(np.random.SeedSequence([self.config.seed]))
         sizes = [n_inputs, *self.config.hidden_sizes, 1]
-        self.weights = [_glorot_uniform(rng, sizes[i], sizes[i + 1])
-                        for i in range(len(sizes) - 1)]
-        self.biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
+        weights = [_glorot_uniform(rng, sizes[i], sizes[i + 1])
+                   for i in range(len(sizes) - 1)]
+        biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
+        self.theta, views = flat_views([*weights, *biases])
+        self.weights, self.biases = views[:len(weights)], views[len(weights):]
 
     def _params(self) -> list[np.ndarray]:
         return [*self.weights, *self.biases]
-
-    def flatten_params(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self._params()])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self._params():
-            p[...] = flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
 
     # -- forward / backward ---------------------------------------------------
 
@@ -153,7 +146,7 @@ class MlpRegressor(Regressor):
             loss, grads = self.loss_and_grads(X, y)
             return loss, np.concatenate([g.ravel() for g in grads])
 
-        result = minimize_lbfgs(objective, self.flatten_params(),
+        result = minimize_lbfgs(objective, self.flat_params(),
                                 memory=10, max_iter=self.config.max_iter,
                                 grad_tol=1e-10, f_tol=1e-8)
         if not np.isfinite(result.fun):

@@ -7,6 +7,34 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def flat_views(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copy ``arrays`` into one contiguous vector; return it and views of it
+    shaped like each array, in order."""
+    vector = np.concatenate([a.ravel() for a in arrays])
+    views, offset = [], 0
+    for a in arrays:
+        views.append(vector[offset:offset + a.size].reshape(a.shape))
+        offset += a.size
+    return vector, views
+
+
+class FlatParameters:
+    """A model whose trainable arrays are views into one vector ``theta``.
+
+    The views must only ever be written in place (``p[...] = ...``, ``+=``);
+    rebinding one would detach it from ``theta``, and so does a pickle or
+    deep copy of the model. Optimizers step ``[theta]`` as one array.
+    """
+
+    theta: np.ndarray
+
+    def flat_params(self) -> np.ndarray:
+        return self.theta.copy()
+
+    def set_flat_params(self, flat: np.ndarray) -> None:
+        self.theta[...] = flat
+
+
 class Adam:
     """Adam with bias correction; updates parameter arrays in place."""
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,11 @@ from dimuq.bnn import (
     train_ensemble_model,
     train_head_model,
 )
-from dimuq.bnn.layers import softplus_inverse
+from dimuq.bnn.layers import sigmoid, softplus_inverse
+from dimuq.bnn.snapshot import FORMAT_VERSION
 from dimuq.bnn.uncertainty import EnsembleOutput
-from dimuq.errors import ConfigError
-from dimuq.harness import Fractions, dual_mc_split
+from dimuq.errors import ConfigError, TrainingError
+from dimuq.harness import Fractions, build_model, dual_mc_split
 
 from helpers import central_difference
 
@@ -147,6 +150,70 @@ class TestTraining:
         assert total == pytest.approx(nll + kl / train.n_rows, rel=1e-9)
 
 
+class TestFlatParameters:
+    @pytest.mark.parametrize("network, size", [(HeadNetwork, (4, 3)),
+                                               (EnsembleNetwork, 4)])
+    def test_params_and_grads_are_views_of_the_network_vectors(self, network, size):
+        model = network(5, size, seed=1)
+        assert all(np.shares_memory(p, model.theta) for p in model.params())
+        assert all(np.shares_memory(g, model.gradient) for g in model.grads())
+        np.testing.assert_array_equal(
+            model.theta, np.concatenate([p.ravel() for p in model.params()]))
+        assert model.gradient.size == model.theta.size
+
+    @pytest.mark.parametrize("train, config", [(train_head_model, HeadConfig()),
+                                               (train_ensemble_model, EnsembleConfig())])
+    def test_training_keeps_the_views_bound(self, train, config):
+        data, _ = scaled_fixture(120, noise=0.05, seed=14)
+        model = train(data, config, epochs=5, seed=0)
+        assert all(np.shares_memory(p, model.theta) for p in model.params())
+        assert all(np.shares_memory(g, model.gradient) for g in model.grads())
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("train, config", [
+        (train_head_model, HeadConfig(learning_rate=1e300)),
+        (train_ensemble_model, EnsembleConfig(learning_rate=1e300)),
+    ], ids=["head", "ensemble"])
+    def test_exploding_step_raises_training_error_with_epoch(self, train, config):
+        data, _ = scaled_fixture(60, noise=0.05, seed=15)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as caught:
+            train(data, config, epochs=50, seed=0)
+        assert caught.value.iteration is not None
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("family, penalty", [("bnn_head", "regularizer"),
+                                                 ("bnn_ensemble", "kl")])
+    def test_final_loss_terms_from_the_trace(self, family, penalty):
+        train, _ = scaled_fixture(80, noise=0.05, seed=16)
+        model = build_model(family, {"epochs": 7}, seed=3).fit(train)
+        epoch, nll, term, total = model.network.loss_trace[-1]
+        assert model.diagnostics() == {"epochs": 7, "nll": nll, penalty: term,
+                                       "total": total}
+
+
+def test_sigmoid_matches_masked_reference_on_edge_values():
+    def masked(x):
+        out = np.empty_like(x)
+        positive = x >= 0
+        out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+        exp_x = np.exp(x[~positive])
+        out[~positive] = exp_x / (1.0 + exp_x)
+        return out
+
+    tiny = np.finfo(np.float64).tiny
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, tiny / 2, -tiny / 2, 745.0, -745.0,
+                      800.0, -800.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+    x = np.concatenate([edges, np.random.default_rng(0).normal(scale=30.0, size=100_000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected, actual = masked(x), sigmoid(x)
+    np.testing.assert_array_equal(actual, expected)
+    finite = ~np.isnan(x)
+    assert np.array_equal(actual[finite].view(np.uint64), expected[finite].view(np.uint64))
+
+
 class TestEnsemblePrediction:
     def test_draw_count_and_shapes(self):
         train, test = scaled_fixture(150, noise=0.05, seed=7)
@@ -249,6 +316,30 @@ class TestSnapshots:
         reloaded = ensemble_predict(restored, test.features, n_draws=20, seed=5)
         np.testing.assert_array_equal(original.means, reloaded.means)
         np.testing.assert_array_equal(original.stddevs, reloaded.stddevs)
+
+    def test_archive_keys_and_version_unchanged(self, tmp_path):
+        train, _ = scaled_fixture(100, noise=0.05, seed=17)
+        head = train_head_model(train, HeadConfig(hidden_sizes=(4, 3)), epochs=5, seed=1)
+        ensemble = train_ensemble_model(train, EnsembleConfig(), epochs=5, seed=1)
+        common = {"format_version", "model_kind", "n_inputs", "out_W", "out_b"}
+        expected = {
+            "head": common | {"hidden_sizes"} | {
+                f"{kind}{i}_{name}" for i in range(2) for kind, name in (
+                    ("dense", "W"), ("dense", "b"), ("bn", "gamma"), ("bn", "beta"),
+                    ("bn", "running_mean"), ("bn", "running_var"))},
+            "ensemble": common | {"n_units", "bn_gamma", "bn_beta", "bn_running_mean",
+                                  "bn_running_var", "mu_W", "rho_W", "mu_b", "rho_b"},
+        }
+        assert FORMAT_VERSION == 1
+        for kind, model in (("head", head), ("ensemble", ensemble)):
+            path = tmp_path / f"{kind}.npz"
+            save_snapshot(model, path)
+            with np.load(path) as archive:
+                assert set(archive.files) == expected[kind]
+                assert int(archive["format_version"]) == FORMAT_VERSION
+            restored = load_snapshot(path)
+            np.testing.assert_array_equal(restored.flat_params(), model.flat_params())
+            assert all(np.shares_memory(p, restored.theta) for p in restored.params())
 
 
 def test_softplus_matches_reference():

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dimuq import cli
@@ -237,6 +238,27 @@ class TestPartialFailure:
             "family": "knn",
             "error": "ConditioningError: kernel matrix is not positive definite",
         }]
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_iteration_diverging_exits_4(self, tmp_path, workers):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "synthetic": {"n": 60, "noise_sigma": 0.05, "seed": 5},
+            "protocol": {"outer_iterations": 1, "inner_iterations": 2,
+                         "fractions": [0.8, 0.2, 0.0], "k": 2, "seed": 7,
+                         "workers": workers},
+            "families": [{"family": "bnn_head",
+                          "grid": {"learning_rate": [1e300], "epochs": [3]}}],
+        }))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = run_cli("evaluate", "--config", config, "--out", out)
+        assert code == cli.EXIT_NUMERIC
+        [failure] = read_json(out / "failures.json")
+        assert failure["error"].startswith(
+            "ProtocolError: every iteration failed; first error: SearchError: "
+            "every candidate failed; first error: TrainingError: ")
 
 
 class TestBadUqParams:

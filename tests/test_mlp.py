@@ -25,6 +25,13 @@ class TestMlp:
         np.testing.assert_allclose(model.forward(rng.normal(size=(6, 4))), 0.37,
                                    rtol=1e-12)
 
+    def test_weights_and_biases_are_views_of_one_vector(self):
+        model = MlpRegressor(MlpConfig(hidden_sizes=(5, 3), seed=0))
+        model.init_params(4)
+        assert all(np.shares_memory(p, model.theta) for p in model.weights + model.biases)
+        model.set_flat_params(np.arange(model.theta.size, dtype=np.float64))
+        assert model.biases[-1][0] == model.theta.size - 1
+
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_gradients_match_finite_differences(self, activation):
         train = smooth_fixture(4, seed=1)
@@ -37,7 +44,7 @@ class TestMlp:
             loss, _ = model.loss_and_grads(train.features, train.targets)
             return loss
 
-        flat0 = model.flatten_params()
+        flat0 = model.flat_params()
         model.set_flat_params(flat0)
         _, grads = model.loss_and_grads(train.features, train.targets)
         analytic = np.concatenate([g.ravel() for g in grads])

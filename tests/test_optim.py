@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dimuq.optim import Adam, RmsProp, minimize_lbfgs
+from dimuq.optim import Adam, RmsProp, flat_views, minimize_lbfgs
 
 
 def quadratic(A, b):
@@ -82,3 +82,48 @@ class TestFirstOrder:
         params = [np.array([1.0])]
         optimizer.step(params, [np.array([7.0])])
         assert params[0][0] == pytest.approx(1.0 - 0.1, abs=1e-9)
+
+
+def reference_adam(params, grads_per_step, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-array Adam, the update written once per trainable array."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        correction1 = 1.0 - beta1 ** t
+        correction2 = 1.0 - beta2 ** t
+        for p, g, m_i, v_i in zip(params, grads, m, v):
+            m_i *= beta1
+            m_i += (1.0 - beta1) * g
+            v_i *= beta2
+            v_i += (1.0 - beta2) * g * g
+            p -= lr * (m_i / correction1) / (np.sqrt(v_i / correction2) + eps)
+
+
+def reference_rmsprop(params, grads_per_step, lr=0.01, rho=0.9, eps=1e-7):
+    """Per-array RMSprop, the update written once per trainable array."""
+    ms = [np.zeros_like(p) for p in params]
+    for grads in grads_per_step:
+        for p, g, ms_i in zip(params, grads, ms):
+            ms_i *= rho
+            ms_i += (1.0 - rho) * g * g
+            p -= lr * g / (np.sqrt(ms_i) + eps)
+
+
+class TestFlatStep:
+    @pytest.mark.parametrize("optimizer_class, reference", [
+        (Adam, reference_adam),
+        (RmsProp, reference_rmsprop),
+    ])
+    def test_one_vector_step_equals_per_array_steps_bit_for_bit(self, optimizer_class,
+                                                                 reference):
+        optimizer = optimizer_class(lr=0.01)
+        rng = np.random.default_rng(5)
+        shapes = [(16, 8), (8,), (16, 8), (8,), (8, 2), (2,)]
+        params = [rng.standard_normal(s) for s in shapes]
+        grads_per_step = [[rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)
+                           for s in shapes] for _ in range(6)]
+        theta, _ = flat_views(params)
+        for grads in grads_per_step:
+            optimizer.step([theta], [np.concatenate([g.ravel() for g in grads])])
+        reference(params, grads_per_step)
+        np.testing.assert_array_equal(theta, np.concatenate([p.ravel() for p in params]))
