@@ -33,10 +33,12 @@ STDDEV_FLOOR = 1e-6
 
 class _Trainable:
     """A layer whose trainable arrays are the attributes named in ``PARAMS``,
-    with their gradients in the attributes named in ``GRADS``."""
+    with their gradients in the attributes named in ``GRADS``; the arrays it
+    estimates without gradients are named in ``STATISTICS``."""
 
     PARAMS: tuple[str, ...] = ()
     GRADS: tuple[str, ...] = ()
+    STATISTICS: tuple[str, ...] = ()
 
     def params(self):
         return [getattr(self, name) for name in self.PARAMS]
@@ -95,6 +97,7 @@ class BatchNormLayer(_Trainable):
 
     PARAMS = ("gamma", "beta")
     GRADS = ("dgamma", "dbeta")
+    STATISTICS = ("running_mean", "running_var")
 
     def __init__(self, n_units: int, momentum: float = 0.99, eps: float = 1e-3):
         self.gamma = np.ones(n_units)
@@ -202,11 +205,6 @@ class VariationalDenseLayer(_Trainable):
         stddevs = self.posterior_stddevs()
         W, b = self.sampled_weights(noise, stddevs)
         self._cache = (x, noise, W, stddevs)
-        return x @ W + b
-
-    def apply(self, x: np.ndarray, noise) -> np.ndarray:
-        """Cache-free sampled forward pass, safe under concurrent calls."""
-        W, b = self.sampled_weights(noise, self.posterior_stddevs())
         return x @ W + b
 
     def backward(self, dz: np.ndarray, kl_weight: float) -> np.ndarray:

@@ -73,8 +73,24 @@ class EnsembleConfig:
             raise ConfigError("n_units must be >= 1")
 
 
-class HeadNetwork(FlatParameters):
+class _Network(FlatParameters):
+    """A network of the layers ``named_layers()`` lists, in parameter order,
+    each with the key prefix of its arrays in a snapshot. ``KIND`` names the
+    network in a snapshot, ``ARCHITECTURE`` the constructor arguments saved
+    with it."""
+
+    def params(self):
+        return [p for _, layer in self.named_layers() for p in layer.params()]
+
+    def grads(self):
+        return [g for _, layer in self.named_layers() for g in layer.grads()]
+
+
+class HeadNetwork(_Network):
     """Deterministic trunk with a trainable-mean/-variance Gaussian output."""
+
+    KIND = "head"
+    ARCHITECTURE = ("hidden_sizes", "n_inputs")
 
     def __init__(self, n_inputs: int, hidden_sizes=(24, 16, 8), seed: int = 0):
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -86,19 +102,16 @@ class HeadNetwork(FlatParameters):
             self.hidden.append((DenseLayer(previous, width, rng), BatchNormLayer(width)))
             previous = width
         self.output = DenseLayer(previous, 2, rng)
-        self.theta, self.gradient = pack_layers(self._layers())
+        self.theta, self.gradient = pack_layers(layer for _, layer in self.named_layers())
         self._relu_cache: list[np.ndarray] = []
         self._raw_scale: np.ndarray | None = None
         self.loss_trace: list[tuple[int, float, float, float]] = []
 
-    def _layers(self):
-        return [layer for pair in self.hidden for layer in pair] + [self.output]
-
-    def params(self):
-        return [p for layer in self._layers() for p in layer.params()]
-
-    def grads(self):
-        return [g for layer in self._layers() for g in layer.grads()]
+    def named_layers(self):
+        pairs = []
+        for i, (dense, bn) in enumerate(self.hidden):
+            pairs += [(f"dense{i}_", dense), (f"bn{i}_", bn)]
+        return pairs + [("out_", self.output)]
 
     def diagnostics(self) -> dict:
         return _trace_diagnostics(self.loss_trace, "regularizer")
@@ -152,8 +165,11 @@ class HeadNetwork(FlatParameters):
         return Prediction(self.infer(features).means)
 
 
-class EnsembleNetwork(FlatParameters):
+class EnsembleNetwork(_Network):
     """Variational-weight network sampled as an ensemble at prediction time."""
+
+    KIND = "ensemble"
+    ARCHITECTURE = ("n_inputs", "n_units")
 
     def __init__(self, n_inputs: int, n_units: int = 8, seed: int = 0):
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -162,18 +178,12 @@ class EnsembleNetwork(FlatParameters):
         self.input_norm = BatchNormLayer(n_inputs)
         self.variational = VariationalDenseLayer(n_inputs, n_units, rng)
         self.output = DenseLayer(n_units, 2, rng)
-        self.theta, self.gradient = pack_layers(self._layers())
+        self.theta, self.gradient = pack_layers(layer for _, layer in self.named_layers())
         self._sigmoid_cache: np.ndarray | None = None
         self.loss_trace: list[tuple[int, float, float, float]] = []
 
-    def _layers(self):
-        return [self.input_norm, self.variational, self.output]
-
-    def params(self):
-        return [p for layer in self._layers() for p in layer.params()]
-
-    def grads(self):
-        return [g for layer in self._layers() for g in layer.grads()]
+    def named_layers(self):
+        return [("bn_", self.input_norm), ("", self.variational), ("out_", self.output)]
 
     def diagnostics(self) -> dict:
         return _trace_diagnostics(self.loss_trace, "kl")
@@ -194,12 +204,16 @@ class EnsembleNetwork(FlatParameters):
         raw = self.output.forward(h)
         return GaussianHead(raw_mean=raw[:, 0], raw_scale=raw[:, 1])
 
-    def infer(self, X: np.ndarray, noise) -> GaussianHead:
-        """Sampled inference pass that touches no shared caches (thread-safe)."""
-        h = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        h = sigmoid(self.variational.apply(self.input_norm.apply(h), noise))
-        raw = self.output.apply(h)
-        return GaussianHead(raw_mean=raw[:, 0], raw_scale=raw[:, 1])
+    def sample_heads(self, X: np.ndarray, noises):
+        """One inference pass per noise draw, touching no shared caches
+        (thread-safe). The inputs are normalized and the posterior stddevs
+        computed once for all draws."""
+        h = self.input_norm.apply(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+        stddevs = self.variational.posterior_stddevs()
+        for noise in noises:
+            W, b = self.variational.sampled_weights(noise, stddevs)
+            raw = self.output.apply(sigmoid(h @ W + b))
+            yield GaussianHead(raw_mean=raw[:, 0], raw_scale=raw[:, 1])
 
     def elbo(self, head: GaussianHead, y: np.ndarray, kl_weight: float,
              with_grads: bool):

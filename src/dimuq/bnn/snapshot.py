@@ -1,4 +1,9 @@
-"""Versioned binary snapshots of fitted networks (numpy .npz archives)."""
+"""Versioned binary snapshots of fitted networks (numpy .npz archives).
+
+An archive holds the format version, the network kind, the constructor
+arguments its ``ARCHITECTURE`` names and, under each layer's key prefix, the
+layer's parameters and running statistics.
+"""
 
 from __future__ import annotations
 
@@ -9,38 +14,22 @@ from .models import EnsembleNetwork, HeadNetwork
 
 FORMAT_VERSION = 1
 
+_KINDS = {cls.KIND: cls for cls in (HeadNetwork, EnsembleNetwork)}
+
+
+def _layer_arrays(model):
+    """(archive key, layer, attribute name) of every layer array, in order."""
+    return [(prefix + name, layer, name) for prefix, layer in model.named_layers()
+            for name in layer.PARAMS + layer.STATISTICS]
+
 
 def save_snapshot(model, path) -> None:
-    arrays: dict[str, np.ndarray] = {"format_version": np.array(FORMAT_VERSION)}
-    if isinstance(model, HeadNetwork):
-        arrays["model_kind"] = np.array("head")
-        arrays["hidden_sizes"] = np.array(model.hidden_sizes)
-        arrays["n_inputs"] = np.array(model.n_inputs)
-        for i, (dense, bn) in enumerate(model.hidden):
-            arrays[f"dense{i}_W"] = dense.W
-            arrays[f"dense{i}_b"] = dense.b
-            arrays[f"bn{i}_gamma"] = bn.gamma
-            arrays[f"bn{i}_beta"] = bn.beta
-            arrays[f"bn{i}_running_mean"] = bn.running_mean
-            arrays[f"bn{i}_running_var"] = bn.running_var
-        arrays["out_W"] = model.output.W
-        arrays["out_b"] = model.output.b
-    elif isinstance(model, EnsembleNetwork):
-        arrays["model_kind"] = np.array("ensemble")
-        arrays["n_inputs"] = np.array(model.n_inputs)
-        arrays["n_units"] = np.array(model.n_units)
-        arrays["bn_gamma"] = model.input_norm.gamma
-        arrays["bn_beta"] = model.input_norm.beta
-        arrays["bn_running_mean"] = model.input_norm.running_mean
-        arrays["bn_running_var"] = model.input_norm.running_var
-        arrays["mu_W"] = model.variational.mu_W
-        arrays["rho_W"] = model.variational.rho_W
-        arrays["mu_b"] = model.variational.mu_b
-        arrays["rho_b"] = model.variational.rho_b
-        arrays["out_W"] = model.output.W
-        arrays["out_b"] = model.output.b
-    else:
+    if not isinstance(model, tuple(_KINDS.values())):
         raise ConfigError(f"cannot snapshot object of type {type(model).__name__}")
+    arrays = {"format_version": np.array(FORMAT_VERSION),
+              "model_kind": np.array(model.KIND)}
+    arrays.update((name, np.array(getattr(model, name))) for name in model.ARCHITECTURE)
+    arrays.update((key, getattr(layer, name)) for key, layer, name in _layer_arrays(model))
     np.savez(path, **arrays)
 
 
@@ -50,30 +39,10 @@ def load_snapshot(path):
         if version != FORMAT_VERSION:
             raise ConfigError(f"unsupported snapshot format version {version}")
         kind = str(archive["model_kind"])
-        if kind == "head":
-            hidden_sizes = tuple(int(h) for h in archive["hidden_sizes"])
-            model = HeadNetwork(int(archive["n_inputs"]), hidden_sizes)
-            for i, (dense, bn) in enumerate(model.hidden):
-                dense.W[...] = archive[f"dense{i}_W"]
-                dense.b[...] = archive[f"dense{i}_b"]
-                bn.gamma[...] = archive[f"bn{i}_gamma"]
-                bn.beta[...] = archive[f"bn{i}_beta"]
-                bn.running_mean[...] = archive[f"bn{i}_running_mean"]
-                bn.running_var[...] = archive[f"bn{i}_running_var"]
-            model.output.W[...] = archive["out_W"]
-            model.output.b[...] = archive["out_b"]
-            return model
-        if kind == "ensemble":
-            model = EnsembleNetwork(int(archive["n_inputs"]), int(archive["n_units"]))
-            model.input_norm.gamma[...] = archive["bn_gamma"]
-            model.input_norm.beta[...] = archive["bn_beta"]
-            model.input_norm.running_mean[...] = archive["bn_running_mean"]
-            model.input_norm.running_var[...] = archive["bn_running_var"]
-            model.variational.mu_W[...] = archive["mu_W"]
-            model.variational.rho_W[...] = archive["rho_W"]
-            model.variational.mu_b[...] = archive["mu_b"]
-            model.variational.rho_b[...] = archive["rho_b"]
-            model.output.W[...] = archive["out_W"]
-            model.output.b[...] = archive["out_b"]
-            return model
-        raise ConfigError(f"unknown snapshot model kind {kind!r}")
+        if kind not in _KINDS:
+            raise ConfigError(f"unknown snapshot model kind {kind!r}")
+        cls = _KINDS[kind]
+        model = cls(**{name: archive[name].tolist() for name in cls.ARCHITECTURE})
+        for key, layer, name in _layer_arrays(model):
+            getattr(layer, name)[...] = archive[key]
+        return model

@@ -77,10 +77,9 @@ def ensemble_predict(model: EnsembleNetwork, queries, n_draws: int = 200,
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     means = np.empty((n_draws, queries.shape[0]))
     stddevs = np.empty((n_draws, queries.shape[0]))
-    for d in range(n_draws):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, d]))
-        noise = model.draw_noise(rng)
-        head = model.infer(queries, noise)
+    noises = (model.draw_noise(np.random.default_rng(np.random.SeedSequence([seed, d])))
+              for d in range(n_draws))
+    for d, head in enumerate(model.sample_heads(queries, noises)):
         means[d] = head.means
         stddevs[d] = head.stddevs
     return EnsembleOutput(means=means, stddevs=stddevs, seed=seed)

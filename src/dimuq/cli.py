@@ -16,18 +16,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-
 from . import __version__
-from .bnn import (
-    DEFAULT_ENSEMBLE_EPOCHS,
-    EnsembleConfig,
-    HeadConfig,
-    decompose_uncertainty,
-    ensemble_predict,
-    save_snapshot,
-    train_ensemble_model,
-    train_head_model,
-)
+# train_head_model, train_ensemble_model and ensemble_predict are not called
+# here: perfbench/layers.py wraps these names on this module. The calls go
+# through the registry, where the same functions are wrapped.
+from .bnn import ensemble_predict, save_snapshot, train_ensemble_model, train_head_model
 from .data import apply_scaler, encode, fit_scaler, generate_synthetic, load_csv
 from .errors import (
     ConfigError,
@@ -38,11 +31,11 @@ from .errors import (
     SchemaError,
     numeric_cause,
 )
-from .gpr import GprRegressor, KernelParams
 from .harness import (
     Fractions,
     HyperGrid,
     Protocol,
+    build_model,
     ci_preset,
     comparison_table,
     dual_mc_split,
@@ -120,13 +113,6 @@ def _make_manifest(command: str, config_path, data_path, seed) -> RunManifest:
 def _write(out_dir: Path, name: str, content: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(content, encoding="utf-8")
-
-
-def _dataclass_config(cls, params: dict):
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise ProtocolError(f"bad {cls.__name__} parameters: {exc}") from exc
 
 
 def _load_config(path) -> dict:
@@ -296,7 +282,23 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _uq_parity_runs(uq_config: dict, matrix, protocol, out_dir: Path) -> None:
+# the models `dimuq uq` fits, in the order it reports them
+_UQ_FAMILIES = ("gpr", "bnn_head", "bnn_ensemble")
+
+
+def _uq_params(uq_config: dict, family: str, draws: int) -> dict:
+    """Registry parameters of ``family`` from its ``uq`` block; ``uq.draws``
+    is the one draw count."""
+    params = dict(uq_config.get(family, {}))
+    if family == "bnn_ensemble":
+        if "n_draws" in params:
+            raise ProtocolError("set the draw count with uq.draws, not bnn_ensemble.n_draws")
+        params["n_draws"] = draws
+    return params
+
+
+def _uq_parity_runs(models: list, uq_config: dict, matrix, protocol,
+                    out_dir: Path) -> None:
     """Fit the probabilistic models once at the configured fraction and emit
     parity tables (and loss traces / snapshots for the network models)."""
     fraction = float(uq_config.get("parity_fraction", 0.8))
@@ -307,51 +309,22 @@ def _uq_parity_runs(uq_config: dict, matrix, protocol, out_dir: Path) -> None:
     scaler = fit_scaler(train, protocol.scaler_method)
     train_scaled = apply_scaler(scaler, train)
     test_features = apply_scaler(scaler, test).features
-    models = uq_config.get("models", [])
-    draws = int(uq_config.get("draws", 200))
-    if "gpr" in models:
-        params = dict(uq_config.get("gpr", {}))
-        gpr = GprRegressor(
-            init=KernelParams(
-                amplitude=float(params.get("amplitude", 1.0)),
-                length_scale=float(params.get("length_scale", 1.0)),
-                noise_level=float(params.get("noise_level", 1.0)),
-            ),
-            n_restarts=int(params.get("n_restarts", 0)),
-            seed=protocol.seed,
-        ).fit(train_scaled)
-        dist = gpr.predict_dist(test_features)
-        _write(out_dir, "parity_gpr.csv",
-               parity_table(test.targets, dist.means, aleatoric=dist.stddevs).to_csv())
-        print(f"gpr: test RMSE {rmse(dist.means, test.targets):.5f} mm")
-    if "bnn_head" in models:
-        params = dict(uq_config.get("bnn_head", {}))
-        epochs = int(params.pop("epochs", 4000))
-        network = train_head_model(train_scaled, _dataclass_config(HeadConfig, params),
-                                   epochs=epochs, seed=protocol.seed)
-        dist = network.predict_dist(test_features)
-        _write(out_dir, "parity_bnn_head.csv",
-               parity_table(test.targets, dist.means, aleatoric=dist.stddevs).to_csv())
-        _write(out_dir, "loss_trace_bnn_head.csv", _loss_trace_csv(network.loss_trace))
-        save_snapshot(network, out_dir / "snapshot_bnn_head.npz")
-        print(f"bnn_head: test RMSE {rmse(dist.means, test.targets):.5f} mm")
-    if "bnn_ensemble" in models:
-        params = dict(uq_config.get("bnn_ensemble", {}))
-        epochs = int(params.pop("epochs", DEFAULT_ENSEMBLE_EPOCHS))
-        network = train_ensemble_model(train_scaled,
-                                       _dataclass_config(EnsembleConfig, params),
-                                       epochs=epochs, seed=protocol.seed)
-        ensemble = ensemble_predict(network, test_features, n_draws=draws,
-                                    seed=protocol.seed)
-        decomposition = decompose_uncertainty(ensemble)
-        _write(out_dir, "parity_bnn_ensemble.csv",
-               parity_table(test.targets, ensemble.mixture_means(),
-                            aleatoric=decomposition.aleatoric,
-                            epistemic=decomposition.epistemic).to_csv())
-        _write(out_dir, "loss_trace_bnn_ensemble.csv", _loss_trace_csv(network.loss_trace))
-        save_snapshot(network, out_dir / "snapshot_bnn_ensemble.npz")
-        print(f"bnn_ensemble: test RMSE "
-              f"{rmse(ensemble.mixture_means(), test.targets):.5f} mm")
+    for family, model in models:
+        model.fit(train_scaled)
+        if family == "bnn_ensemble":
+            means, decomposition = model.predict_decomposed(test_features)
+            spread = {"aleatoric": decomposition.aleatoric,
+                      "epistemic": decomposition.epistemic}
+        else:
+            dist = model.predict_dist(test_features)
+            means, spread = dist.means, {"aleatoric": dist.stddevs}
+        _write(out_dir, f"parity_{family}.csv",
+               parity_table(test.targets, means, **spread).to_csv())
+        if family != "gpr":
+            _write(out_dir, f"loss_trace_{family}.csv",
+                   _loss_trace_csv(model.network.loss_trace))
+            save_snapshot(model.network, out_dir / f"snapshot_{family}.npz")
+        print(f"{family}: test RMSE {rmse(means, test.targets):.5f} mm")
 
 
 def _loss_trace_csv(trace) -> str:
@@ -373,19 +346,26 @@ def cmd_uq(args) -> int:
     if draws < 2:
         raise ProtocolError("uq.draws must be >= 2 (the decomposition needs spread)")
 
+    names = uq_config.get("models", [])
+    unknown = sorted(set(names) - set(_UQ_FAMILIES))
+    if unknown:
+        raise ProtocolError(f"unknown uq model(s) {unknown}; known: {list(_UQ_FAMILIES)}")
+    # built before anything trains, so a bad parameter fails first
+    models = [(family, build_model(family, _uq_params(uq_config, family, draws),
+                                   seed=protocol.seed))
+              for family in _UQ_FAMILIES if family in names]
+
     if uq_config.get("fractions"):
-        ensemble_params = dict(uq_config.get("bnn_ensemble", {}))
-        epochs = int(ensemble_params.pop("epochs", DEFAULT_ENSEMBLE_EPOCHS))
         report = uq_trend_study(
-            _dataclass_config(EnsembleConfig, ensemble_params), matrix,
+            _uq_params(uq_config, "bnn_ensemble", draws), matrix,
             uq_config["fractions"], uq_config.get("seeds", [protocol.seed]),
-            n_draws=draws, epochs=epochs, scaler_method=protocol.scaler_method,
+            scaler_method=protocol.scaler_method,
         )
         _write(out_dir, "uq_trend.json", uq_report_to_json(report))
         _write(out_dir, "uq_trend.csv", uq_report_to_csv(report))
         print(f"uq trend: {len(report.fractions)} fractions x {len(report.seeds)} seeds")
 
-    _uq_parity_runs(uq_config, matrix, protocol, out_dir)
+    _uq_parity_runs(models, uq_config, matrix, protocol, out_dir)
     _write(out_dir, "manifest.json", manifest.to_json())
     return EXIT_OK
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
+from .distances import sq_distances
 from .errors import ConditioningError, ConfigError
 from .metrics import Prediction, PredictiveDistribution, ProbabilisticRegressor
 from .optim import minimize_lbfgs
@@ -55,13 +56,6 @@ def matern32(r, amplitude: float, length_scale: float):
     return amplitude * (1.0 + scaled) * np.exp(-scaled)
 
 
-def _pairwise_distances(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    sq1 = (X1 ** 2).sum(axis=1)[:, None]
-    sq2 = (X2 ** 2).sum(axis=1)[None, :]
-    d2 = np.maximum(sq1 + sq2 - 2.0 * X1 @ X2.T, 0.0)
-    return np.sqrt(d2)
-
-
 def gram(X1: np.ndarray, X2: np.ndarray, params: KernelParams,
          noise: bool = False) -> np.ndarray:
     """Kernel matrix between the rows of X1 and X2. With ``noise`` (a
@@ -71,7 +65,7 @@ def gram(X1: np.ndarray, X2: np.ndarray, params: KernelParams,
     X2 = np.atleast_2d(np.asarray(X2, dtype=np.float64))
     if X1.shape[1] != X2.shape[1]:
         raise ConfigError(f"feature dimension mismatch: {X1.shape[1]} vs {X2.shape[1]}")
-    K = matern32(_pairwise_distances(X1, X2), params.amplitude, params.length_scale)
+    K = matern32(np.sqrt(sq_distances(X1, X2)), params.amplitude, params.length_scale)
     if noise:
         if X1.shape[0] != X2.shape[0]:
             raise ConfigError("the noise term needs a square self-gram")
@@ -97,7 +91,7 @@ def log_marginal_likelihood(X, y, params: KernelParams, return_grad: bool = Fals
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     n = y.size
-    distances = _pairwise_distances(X, X)
+    distances = np.sqrt(sq_distances(X, X))
     K_matern = matern32(distances, params.amplitude, params.length_scale)
     K = K_matern + params.noise_level * np.eye(n)
     L, _ = _chol_with_jitter(K)

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..bnn import decompose_uncertainty, ensemble_predict, train_ensemble_model
-from ..bnn.models import DEFAULT_ENSEMBLE_EPOCHS, EnsembleConfig
+# Not called here: perfbench/layers.py wraps these two names on this module.
+# The calls go through the registry, where the same functions are wrapped.
+from ..bnn import ensemble_predict, train_ensemble_model
 from ..data import DesignMatrix, apply_scaler, fit_scaler
-from ..errors import ConfigError, DimuqError, ProtocolError, numeric_cause
+from ..errors import DimuqError, ProtocolError, numeric_cause
 from ..metrics import rmse
 from .families import build_model
 from .search import HyperGrid, grid_search
@@ -114,10 +115,11 @@ def _run_iteration(family, grid, data, protocol, iteration, fixed_params,
     if instrumentation is not None:
         instrumentation("scaler_fit", iteration=iteration, rows=train_idx)
     model = build_model(family, params, seed=model_seed)
-    model.fit(apply_scaler(scaler, train))
+    train_scaled = apply_scaler(scaler, train)
+    model.fit(train_scaled)
     if instrumentation is not None:
         instrumentation("model_fit", iteration=iteration, rows=train_idx)
-    train_pred = model.predict(apply_scaler(scaler, train).features).values
+    train_pred = model.predict(train_scaled.features).values
     test_pred = model.predict(apply_scaler(scaler, test).features).values
     record = {
         "iteration": iteration,
@@ -277,12 +279,14 @@ class UqTrendReport:
 DEFAULT_TREND_FRACTIONS = (0.1, 0.5, 0.8, 0.9, 0.99)
 
 
-def uq_trend_study(config: EnsembleConfig, data: DesignMatrix, fractions_list=None,
-                   seeds=(0,), n_draws: int = 200,
-                   epochs: int = DEFAULT_ENSEMBLE_EPOCHS,
-                   scaler_method: str = "zscore") -> UqTrendReport:
+def uq_trend_study(params: dict, data: DesignMatrix, fractions_list=None,
+                   seeds=(0,), scaler_method: str = "zscore") -> UqTrendReport:
     """Train the weight-sampling network at several training fractions and
-    decompose its predictive uncertainty on the held-out complement."""
+    decompose its predictive uncertainty on the held-out complement.
+
+    ``params`` are ``bnn_ensemble`` registry parameters (epochs, n_draws and
+    the network config). Each replicate seeds its network and draws with its
+    own seed, unless ``params`` pins one."""
     if fractions_list is None:
         fractions_list = DEFAULT_TREND_FRACTIONS
     fractions_list = [float(f) for f in fractions_list]
@@ -291,8 +295,7 @@ def uq_trend_study(config: EnsembleConfig, data: DesignMatrix, fractions_list=No
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ProtocolError("at least one seed is required")
-    if n_draws < 2:
-        raise ConfigError("n_draws must be >= 2")
+    n_draws = build_model("bnn_ensemble", params).n_draws  # validates params
 
     rows = []
     for fraction in fractions_list:
@@ -305,16 +308,15 @@ def uq_trend_study(config: EnsembleConfig, data: DesignMatrix, fractions_list=No
             train = data.take(train_idx)
             test = data.take(test_idx)
             scaler = fit_scaler(train, scaler_method)
-            model = train_ensemble_model(apply_scaler(scaler, train), config,
-                                         epochs=epochs, seed=seed)
-            ensemble = ensemble_predict(model, apply_scaler(scaler, test).features,
-                                        n_draws=n_draws, seed=seed)
-            decomposition = decompose_uncertainty(ensemble)
+            model = build_model("bnn_ensemble", params, seed=seed)
+            model.fit(apply_scaler(scaler, train))
+            means, decomposition = model.predict_decomposed(
+                apply_scaler(scaler, test).features)
             replicates.append({
                 "seed": seed,
                 "aleatoric": decomposition.aggregate_aleatoric,
                 "epistemic": decomposition.aggregate_epistemic,
-                "test_rmse": rmse(ensemble.mixture_means(), test.targets),
+                "test_rmse": rmse(means, test.targets),
             })
         aleatorics = np.array([r["aleatoric"] for r in replicates])
         epistemics = np.array([r["epistemic"] for r in replicates])

@@ -16,12 +16,13 @@ from ..bnn import (
     EnsembleNetwork,
     HeadConfig,
     HeadNetwork,
+    decompose_uncertainty,
     train_ensemble_model,
     train_head_model,
 )
 from ..errors import ConfigError
 from ..gpr import GprRegressor, KernelParams
-from ..metrics import Prediction, ProbabilisticRegressor
+from ..metrics import Prediction, PredictiveDistribution, ProbabilisticRegressor
 from ..models import (
     DecisionTreeRegressor,
     ForestConfig,
@@ -81,6 +82,7 @@ class _EnsembleModelAdapter(ProbabilisticRegressor):
         return {} if self.network is None else self.network.diagnostics()
 
     def _ensemble(self, features):
+        # looked up on dimuq.bnn at call time: perfbench/layers.py wraps it there
         from ..bnn import ensemble_predict
         if self.network is None:
             raise ConfigError("predict before fit")
@@ -90,13 +92,14 @@ class _EnsembleModelAdapter(ProbabilisticRegressor):
     def predict(self, features) -> Prediction:
         return Prediction(self._ensemble(features).mixture_means())
 
-    def predict_dist(self, features):
-        from ..bnn import decompose_uncertainty
-        from ..metrics import PredictiveDistribution
+    def predict_decomposed(self, features):
+        """(mixture means, UncertaintyDecomposition) of one set of draws."""
         ensemble = self._ensemble(features)
-        decomposition = decompose_uncertainty(ensemble)
-        return PredictiveDistribution(means=ensemble.mixture_means(),
-                                      stddevs=decomposition.total)
+        return ensemble.mixture_means(), decompose_uncertainty(ensemble)
+
+    def predict_dist(self, features):
+        means, decomposition = self.predict_decomposed(features)
+        return PredictiveDistribution(means=means, stddevs=decomposition.total)
 
 
 def _config_kwargs(config_type, params: dict) -> dict:
@@ -118,13 +121,11 @@ def _build_tree(params, seed):
 
 
 def _build_forest(params, seed):
-    params = dict(params)
     params.setdefault("seed", seed)
     return RandomForestRegressor(ForestConfig(**_config_kwargs(ForestConfig, params)))
 
 
 def _build_gbt(params, seed):
-    params = dict(params)
     params.setdefault("seed", seed)
     if "max_depth" in params and "max_leaf_nodes" not in params:
         params["max_leaf_nodes"] = None
@@ -136,15 +137,11 @@ def _build_svr(params, seed):
 
 
 def _build_mlp(params, seed):
-    params = dict(params)
     params.setdefault("seed", seed)
-    if "hidden_sizes" in params:
-        params["hidden_sizes"] = tuple(params["hidden_sizes"])
     return MlpRegressor(MlpConfig(**_config_kwargs(MlpConfig, params)))
 
 
 def _build_gpr(params, seed):
-    params = dict(params)
     n_restarts = params.pop("n_restarts", 0)
     params.pop("nu", None)
     init = KernelParams(
@@ -159,25 +156,24 @@ def _build_gpr(params, seed):
 
 
 def _build_bnn_head(params, seed):
-    params = dict(params)
     epochs = params.pop("epochs", 4000)
     bnn_seed = params.pop("seed", seed)
-    if "hidden_sizes" in params:
-        params["hidden_sizes"] = tuple(params["hidden_sizes"])
     config = HeadConfig(**_config_kwargs(HeadConfig, params))
     return _HeadModelAdapter(config, epochs=int(epochs), seed=bnn_seed)
 
 
 def _build_bnn_ensemble(params, seed):
-    params = dict(params)
     epochs = params.pop("epochs", DEFAULT_ENSEMBLE_EPOCHS)
-    n_draws = params.pop("n_draws", 200)
+    n_draws = int(params.pop("n_draws", 200))
+    if n_draws < 2:
+        raise ConfigError("n_draws must be >= 2")
     bnn_seed = params.pop("seed", seed)
     config = EnsembleConfig(**_config_kwargs(EnsembleConfig, params))
     return _EnsembleModelAdapter(config, epochs=int(epochs), seed=bnn_seed,
-                                 n_draws=int(n_draws))
+                                 n_draws=n_draws)
 
 
+# each builder gets its own copy of the params, which it may change
 _BUILDERS = {
     "knn": _build_knn,
     "decision_tree": _build_tree,
@@ -194,7 +190,13 @@ FAMILY_NAMES = tuple(_BUILDERS)
 
 
 def build_model(family: str, params: dict, seed: int = 0):
+    """An unfitted model of ``family`` from plain key/value parameters. A
+    value of the wrong type or form raises ConfigError, chained to the
+    original TypeError or ValueError."""
     builder = _BUILDERS.get(family)
     if builder is None:
         raise ConfigError(f"unknown model family {family!r}; known: {sorted(_BUILDERS)}")
-    return builder(dict(params), seed)
+    try:
+        return builder(dict(params), seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {family} parameters: {exc}") from exc

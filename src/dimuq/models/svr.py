@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..distances import sq_distances
 from ..errors import ConfigError
 from ..metrics import Prediction, Regressor
 
@@ -52,10 +53,7 @@ class SvrConfig:
 
 
 def rbf_kernel(X1: np.ndarray, X2: np.ndarray, gamma: float) -> np.ndarray:
-    sq1 = (X1 ** 2).sum(axis=1)[:, None]
-    sq2 = (X2 ** 2).sum(axis=1)[None, :]
-    d2 = np.maximum(sq1 + sq2 - 2.0 * X1 @ X2.T, 0.0)
-    return np.exp(-gamma * d2)
+    return np.exp(-gamma * sq_distances(X1, X2))
 
 
 def resolve_gamma(gamma, X: np.ndarray) -> float:

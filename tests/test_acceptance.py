@@ -165,8 +165,8 @@ def test_criterion_6_ensemble_model(real_split):
 def test_criterion_7_epistemic_trend_on_fixture():
     with criterion(7, "epistemic uncertainty strictly decreases with data"):
         data = synthetic_matrix(800, 0.05, seed=33)
-        report = uq_trend_study(EnsembleConfig(), data, [0.1, 0.5, 0.8],
-                                seeds=[0, 1, 2, 3, 4], n_draws=200, epochs=3000)
+        report = uq_trend_study({"epochs": 3000, "n_draws": 200}, data, [0.1, 0.5, 0.8],
+                                seeds=[0, 1, 2, 3, 4])
         means = [row["mean_epistemic"] for row in report.rows]
         print(f"  epistemic means: {[round(m, 5) for m in means]}")
         assert means[0] > means[1] > means[2]

@@ -249,6 +249,23 @@ class TestEnsemblePrediction:
         assert first.aggregate_epistemic == pytest.approx(
             second.aggregate_epistemic, rel=0.10)
 
+    def test_matches_per_draw_reference_bit_for_bit(self):
+        train, test = scaled_fixture(120, noise=0.05, seed=14)
+        model = train_ensemble_model(train, EnsembleConfig(), epochs=30, seed=0)
+        output = ensemble_predict(model, test.features, n_draws=6, seed=4)
+        norm, layer, out = model.input_norm, model.variational, model.output
+        for d in range(6):
+            # one full inference pass per draw: normalize, sample, propagate
+            eps_W, eps_b = model.draw_noise(
+                np.random.default_rng(np.random.SeedSequence([4, d])))
+            inv_std = 1.0 / np.sqrt(norm.running_var + norm.eps)
+            h = norm.gamma * (test.features - norm.running_mean) * inv_std + norm.beta
+            W = layer.mu_W + softplus(layer.rho_W) * eps_W
+            b = layer.mu_b + softplus(layer.rho_b) * eps_b
+            raw = sigmoid(h @ W + b) @ out.W + out.b
+            assert np.array_equal(output.means[d], raw[:, 0])
+            assert np.array_equal(output.stddevs[d], softplus(raw[:, 1]) + 1e-6)
+
     def test_mixture_mean_is_mean_of_draw_means(self):
         rng = np.random.default_rng(11)
         means = rng.normal(size=(40, 7))

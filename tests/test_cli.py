@@ -261,7 +261,43 @@ class TestPartialFailure:
             "every candidate failed; first error: TrainingError: ")
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wrong_typed_grid_value_exits_3(self, tmp_path, workers):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "synthetic": {"n": 60, "noise_sigma": 0.05, "seed": 5},
+            "protocol": {"outer_iterations": 1, "inner_iterations": 2,
+                         "fractions": [0.8, 0.2, 0.0], "k": 2, "seed": 7,
+                         "workers": workers},
+            "families": [{"family": "knn", "grid": {"k": ["6"]}}],
+        }))
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--config", config, "--out", out) == 3
+        [failure] = read_json(out / "failures.json")
+        assert failure["error"].startswith(
+            "ProtocolError: every iteration failed; first error: SearchError: "
+            "every candidate failed; first error: ConfigError: bad knn parameters")
+
+
 class TestBadUqParams:
+    @pytest.mark.parametrize("uq", [
+        {"models": ["gpr"], "gpr": {"lengthscale": 2.0}},
+        {"models": ["gpr", "bnn_ensmble"]},
+        {"models": ["gpr"], "gpr": {"amplitude": "x"}},
+        {"models": ["bnn_head"], "bnn_head": {"epochs": "many"}},
+        {"models": ["bnn_ensemble"], "bnn_ensemble": {"n_draws": 50}},
+    ])
+    def test_bad_model_block_exits_3_before_training(self, tmp_path, uq):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "synthetic": {"n": 60, "noise_sigma": 0.05, "seed": 5},
+            "protocol": {"seed": 7},
+            "uq": {"draws": 5, "fractions": [0.5], **uq},
+        }))
+        out = tmp_path / "o"
+        assert run_cli("uq", "--config", config, "--out", out) == 3
+        assert not (out / "uq_trend.json").exists()
+
     def test_unknown_network_parameter_exits_3(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

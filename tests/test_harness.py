@@ -357,3 +357,19 @@ class TestFamilyRegistry:
         from dimuq.harness import build_model
         with pytest.raises(ConfigError):
             build_model("knn", {"neighbors": 3}, seed=0)
+
+    @pytest.mark.parametrize("family,params", [
+        ("knn", {"k": "6"}),
+        ("gpr", {"amplitude": "x"}),
+        ("bnn_ensemble", {"n_draws": "many"}),
+    ])
+    def test_wrong_typed_value_raises_config_error(self, family, params):
+        from dimuq.harness import build_model
+        with pytest.raises(ConfigError) as info:
+            build_model(family, params, seed=0)
+        assert isinstance(info.value.__cause__, (TypeError, ValueError))
+
+    def test_ensemble_needs_two_draws(self):
+        from dimuq.harness import build_model
+        with pytest.raises(ConfigError):
+            build_model("bnn_ensemble", {"n_draws": 1}, seed=0)
