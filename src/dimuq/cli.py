@@ -286,14 +286,16 @@ def cmd_sweep(args) -> int:
 _UQ_FAMILIES = ("gpr", "bnn_head", "bnn_ensemble")
 
 
-def _uq_params(uq_config: dict, family: str, draws: int) -> dict:
+def _uq_params(uq_config: dict, family: str) -> dict:
     """Registry parameters of ``family`` from its ``uq`` block; ``uq.draws``
-    is the one draw count."""
+    is the one draw count, and protocol.seed and ``uq.seeds`` the seeds."""
     params = dict(uq_config.get(family, {}))
+    if "seed" in params:
+        raise ProtocolError(f"uq.{family}.seed: seeds come from protocol.seed and uq.seeds")
     if family == "bnn_ensemble":
         if "n_draws" in params:
             raise ProtocolError("set the draw count with uq.draws, not bnn_ensemble.n_draws")
-        params["n_draws"] = draws
+        params["n_draws"] = uq_config.get("draws", 200)
     return params
 
 
@@ -342,22 +344,18 @@ def cmd_uq(args) -> int:
     out_dir = Path(args.out)
     manifest = _make_manifest("uq", args.config, data_path, protocol.seed)
 
-    draws = int(uq_config.get("draws", 200))
-    if draws < 2:
-        raise ProtocolError("uq.draws must be >= 2 (the decomposition needs spread)")
-
     names = uq_config.get("models", [])
     unknown = sorted(set(names) - set(_UQ_FAMILIES))
     if unknown:
         raise ProtocolError(f"unknown uq model(s) {unknown}; known: {list(_UQ_FAMILIES)}")
     # built before anything trains, so a bad parameter fails first
-    models = [(family, build_model(family, _uq_params(uq_config, family, draws),
+    models = [(family, build_model(family, _uq_params(uq_config, family),
                                    seed=protocol.seed))
               for family in _UQ_FAMILIES if family in names]
 
     if uq_config.get("fractions"):
         report = uq_trend_study(
-            _uq_params(uq_config, "bnn_ensemble", draws), matrix,
+            _uq_params(uq_config, "bnn_ensemble"), matrix,
             uq_config["fractions"], uq_config.get("seeds", [protocol.seed]),
             scaler_method=protocol.scaler_method,
         )

@@ -285,17 +285,20 @@ def uq_trend_study(params: dict, data: DesignMatrix, fractions_list=None,
     decompose its predictive uncertainty on the held-out complement.
 
     ``params`` are ``bnn_ensemble`` registry parameters (epochs, n_draws and
-    the network config). Each replicate seeds its network and draws with its
-    own seed, unless ``params`` pins one."""
+    the network config, but no seed). Each replicate seeds its network and
+    draws with its own seed."""
     if fractions_list is None:
         fractions_list = DEFAULT_TREND_FRACTIONS
     fractions_list = [float(f) for f in fractions_list]
+    if not fractions_list:
+        raise ProtocolError("at least one fraction is required")
     if any(not 0.0 < f < 1.0 for f in fractions_list):
         raise ProtocolError("fractions must lie in (0, 1)")
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ProtocolError("at least one seed is required")
-    n_draws = build_model("bnn_ensemble", params).n_draws  # validates params
+    if "seed" in params:
+        raise ProtocolError("each replicate takes its seed from seeds, not params")
 
     rows = []
     for fraction in fractions_list:
@@ -332,4 +335,4 @@ def uq_trend_study(params: dict, data: DesignMatrix, fractions_list=None,
             "std_test_rmse": float(rmses.std(ddof=1)) if len(seeds) > 1 else 0.0,
         })
     return UqTrendReport(fractions=tuple(fractions_list), seeds=tuple(seeds),
-                         n_draws=n_draws, rows=tuple(rows))
+                         n_draws=model.n_draws, rows=tuple(rows))

@@ -143,11 +143,11 @@ def _build_mlp(params, seed):
 
 def _build_gpr(params, seed):
     n_restarts = params.pop("n_restarts", 0)
-    params.pop("nu", None)
     init = KernelParams(
         amplitude=params.pop("amplitude", 1.0),
         length_scale=params.pop("length_scale", 1.0),
         noise_level=params.pop("noise_level", 1.0),
+        nu=params.pop("nu", 1.5),
     )
     gpr_seed = params.pop("seed", seed)
     if params:

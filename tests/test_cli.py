@@ -286,6 +286,10 @@ class TestBadUqParams:
         {"models": ["gpr"], "gpr": {"amplitude": "x"}},
         {"models": ["bnn_head"], "bnn_head": {"epochs": "many"}},
         {"models": ["bnn_ensemble"], "bnn_ensemble": {"n_draws": 50}},
+        {"models": ["gpr"], "gpr": {"nu": 2.5}},
+        {"models": ["bnn_ensemble"], "bnn_ensemble": {"seed": 3}},
+        {"models": ["gpr"], "gpr": {"seed": 3}},
+        {"models": ["bnn_ensemble"], "draws": 1},
     ])
     def test_bad_model_block_exits_3_before_training(self, tmp_path, uq):
         config = tmp_path / "config.json"
