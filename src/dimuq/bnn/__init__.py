@@ -4,6 +4,7 @@ from .layers import BatchNormLayer, DenseLayer, VariationalDenseLayer, softplus,
 from .losses import kl_diag_gaussians, nll_loss
 from .models import (
     DEFAULT_ENSEMBLE_EPOCHS,
+    DEFAULT_HEAD_EPOCHS,
     EnsembleConfig,
     EnsembleNetwork,
     GaussianHead,
@@ -15,6 +16,7 @@ from .models import (
 )
 from .snapshot import load_snapshot, save_snapshot
 from .uncertainty import (
+    DEFAULT_DRAWS,
     EnsembleOutput,
     UncertaintyDecomposition,
     decompose_uncertainty,
@@ -25,7 +27,8 @@ __all__ = [
     "BatchNormLayer", "DenseLayer", "VariationalDenseLayer",
     "softplus", "softplus_inverse",
     "nll_loss", "kl_diag_gaussians", "elbo_loss",
-    "GaussianHead", "HeadConfig", "EnsembleConfig", "DEFAULT_ENSEMBLE_EPOCHS",
+    "GaussianHead", "HeadConfig", "EnsembleConfig",
+    "DEFAULT_HEAD_EPOCHS", "DEFAULT_ENSEMBLE_EPOCHS", "DEFAULT_DRAWS",
     "HeadNetwork", "EnsembleNetwork",
     "train_head_model", "train_ensemble_model",
     "EnsembleOutput", "UncertaintyDecomposition",

@@ -91,8 +91,8 @@ class DenseLayer(_Trainable):
 class BatchNormLayer(_Trainable):
     """Batch normalization with trainable scale/shift and running statistics.
 
-    Training mode normalizes by batch statistics and (optionally) updates the
-    running estimates; inference mode uses the running estimates only.
+    ``forward`` (training) normalizes by batch statistics and updates the
+    running estimates; ``apply`` (inference) uses the running estimates only.
     """
 
     PARAMS = ("gamma", "beta")
@@ -123,21 +123,14 @@ class BatchNormLayer(_Trainable):
         self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
         self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
 
-    def forward(self, x: np.ndarray, training: bool, update_running: bool = True) -> np.ndarray:
-        if training:
-            mean, var, inv_std, xhat = self.batch_moments(x)
-            if update_running:
-                self.update_running(mean, var)
-        else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean) * inv_std
-        return self.scale_shift(xhat, inv_std, training)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        mean, var, inv_std, xhat = self.batch_moments(x)
+        self.update_running(mean, var)
+        return self.scale_shift(xhat, inv_std)
 
-    def scale_shift(self, xhat: np.ndarray, inv_std: np.ndarray,
-                    training: bool = True) -> np.ndarray:
+    def scale_shift(self, xhat: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
         """gamma * xhat + beta, caching what the backward pass needs."""
         self._xhat, self._inv_std = xhat, inv_std
-        self._training = training
         return self.gamma * xhat + self.beta
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -155,8 +148,6 @@ class BatchNormLayer(_Trainable):
         self.param_backward(dy)
         xhat, inv_std = self._xhat, self._inv_std
         dxhat = dy * self.gamma
-        if not self._training:
-            return dxhat * inv_std
         return inv_std * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
 
 
@@ -183,10 +174,6 @@ class VariationalDenseLayer(_Trainable):
         self.dmu_b = np.zeros_like(self.mu_b)
         self.drho_b = np.zeros_like(self.rho_b)
         self._cache = None
-
-    @property
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.params())
 
     def draw_noise(self, rng):
         return rng.standard_normal(self.mu_W.shape), rng.standard_normal(self.mu_b.shape)

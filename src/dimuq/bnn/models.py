@@ -30,6 +30,7 @@ from .layers import (
 )
 from .losses import gaussian_nll, nll_grads
 
+DEFAULT_HEAD_EPOCHS = 4000
 DEFAULT_ENSEMBLE_EPOCHS = 3000
 
 
@@ -116,21 +117,21 @@ class HeadNetwork(_Network):
     def diagnostics(self) -> dict:
         return _trace_diagnostics(self.loss_trace, "regularizer")
 
-    def forward(self, X: np.ndarray, training: bool, update_running: bool = True) -> GaussianHead:
+    def forward(self, X: np.ndarray) -> GaussianHead:
+        """Training pass: batch statistics, caches for ``loss_and_grads``."""
         self._relu_cache = []
         h = np.atleast_2d(np.asarray(X, dtype=np.float64))
         for dense, bn in self.hidden:
-            h = np.maximum(bn.forward(dense.forward(h), training, update_running), 0.0)
+            h = np.maximum(bn.forward(dense.forward(h)), 0.0)
             self._relu_cache.append(h)
         raw = self.output.forward(h)
         self._raw_scale = raw[:, 1]
         return GaussianHead(raw_mean=raw[:, 0], raw_scale=raw[:, 1])
 
-    def loss_and_grads(self, X, y, kl_weight: float, training: bool = True,
-                       update_running: bool = True):
+    def loss_and_grads(self, X, y, kl_weight: float):
         """Mean NLL plus the output-prior proximity penalty; fills the grads."""
         y = np.asarray(y, dtype=np.float64).ravel()
-        head = self.forward(X, training, update_running)
+        head = self.forward(X)
         mu, sigma = head.means, head.stddevs
         m = y.size
         nll = gaussian_nll(mu, sigma, y)
@@ -191,11 +192,10 @@ class EnsembleNetwork(_Network):
     def draw_noise(self, rng):
         return self.variational.draw_noise(rng)
 
-    def forward(self, X: np.ndarray, noise, training: bool,
-                update_running: bool = True) -> GaussianHead:
+    def forward(self, X: np.ndarray, noise) -> GaussianHead:
+        """Training pass with one weight draw ``noise``."""
         h = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return self.forward_normalized(self.input_norm.forward(h, training, update_running),
-                                       noise)
+        return self.forward_normalized(self.input_norm.forward(h), noise)
 
     def forward_normalized(self, h: np.ndarray, noise) -> GaussianHead:
         """The forward pass from the input normalization's output on."""
@@ -249,7 +249,6 @@ def _check_finite(epoch: int, total: float, raw_scale: np.ndarray) -> None:
 
 
 def elbo_loss(model: EnsembleNetwork, X, y, kl_weight: float, noise=None, rng=None,
-              training: bool = True, update_running: bool = False,
               with_grads: bool = False):
     """Single-draw variational objective: mean NLL + kl_weight * analytic KL.
 
@@ -261,12 +260,12 @@ def elbo_loss(model: EnsembleNetwork, X, y, kl_weight: float, noise=None, rng=No
         if rng is None:
             raise ConfigError("elbo_loss needs either frozen noise or an rng")
         noise = model.draw_noise(rng)
-    head = model.forward(X, noise, training, update_running)
+    head = model.forward(X, noise)
     return model.elbo(head, y, kl_weight, with_grads)
 
 
-def train_head_model(matrix, config: HeadConfig | None = None, epochs: int = 4000,
-                     seed: int = 0) -> HeadNetwork:
+def train_head_model(matrix, config: HeadConfig | None = None,
+                     epochs: int = DEFAULT_HEAD_EPOCHS, seed: int = 0) -> HeadNetwork:
     """Full-batch Adam on the Gaussian-head network; deterministic given seed."""
     config = config or HeadConfig()
     if matrix.n_rows == 0:
@@ -278,7 +277,7 @@ def train_head_model(matrix, config: HeadConfig | None = None, epochs: int = 400
     model = HeadNetwork(matrix.width, config.hidden_sizes, seed=seed)
     optimizer = Adam(lr=config.learning_rate)
     for epoch in range(epochs):
-        nll, reg = model.loss_and_grads(X, y, kl_weight, training=True)
+        nll, reg = model.loss_and_grads(X, y, kl_weight)
         total = nll + reg
         _check_finite(epoch, total, model._raw_scale)
         model.loss_trace.append((epoch, nll, reg, total))

@@ -15,6 +15,8 @@ import numpy as np
 from ..errors import ConfigError
 from .models import EnsembleNetwork
 
+DEFAULT_DRAWS = 200
+
 
 @dataclass(frozen=True)
 class EnsembleOutput:
@@ -65,7 +67,7 @@ class UncertaintyDecomposition:
             raise ConfigError("uncertainty components must be >= 0")
 
 
-def ensemble_predict(model: EnsembleNetwork, queries, n_draws: int = 200,
+def ensemble_predict(model: EnsembleNetwork, queries, n_draws: int = DEFAULT_DRAWS,
                      seed: int = 0) -> EnsembleOutput:
     """Sample the weight posterior ``n_draws`` times and run inference passes.
 

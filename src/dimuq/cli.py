@@ -13,14 +13,15 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
 # train_head_model, train_ensemble_model and ensemble_predict are not called
 # here: perfbench/layers.py wraps these names on this module. The calls go
 # through the registry, where the same functions are wrapped.
-from .bnn import ensemble_predict, save_snapshot, train_ensemble_model, train_head_model
+from .bnn import (DEFAULT_DRAWS, ensemble_predict, save_snapshot, train_ensemble_model,
+                  train_head_model)
 from .data import apply_scaler, encode, fit_scaler, generate_synthetic, load_csv
 from .errors import (
     ConfigError,
@@ -41,6 +42,7 @@ from .harness import (
     dual_mc_split,
     eval_report_to_json,
     fraction_sweep,
+    read_config,
     run_evaluation,
     sweep_report_to_csv,
     sweep_report_to_json,
@@ -115,56 +117,93 @@ def _write(out_dir: Path, name: str, content: str) -> None:
     (out_dir / name).write_text(content, encoding="utf-8")
 
 
-def _load_config(path) -> dict:
+# the models `dimuq uq` fits, in the order it reports them
+_UQ_FAMILIES = ("gpr", "bnn_head", "bnn_ensemble")
+
+
+@dataclass(frozen=True)
+class _Config:
+    """A config file's top-level keys; each block is read by its own type."""
+
+    data: str | None = None
+    schema: str | None = None
+    preset: str | None = None
+    synthetic: dict = field(default_factory=dict)
+    protocol: dict = field(default_factory=dict)
+    families: list = field(default_factory=list)
+    sweep_fractions: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 10))
+    uq: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Synthetic:
+    n: int = 800
+    noise_sigma: float = 0.05
+    seed: int = 7
+
+
+@dataclass(frozen=True)
+class _FamilySpec:
+    family: str
+    grid: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Uq:
+    """The ``uq`` block; ``seeds`` defaults to ``[protocol.seed]``. Its
+    per-model blocks hold registry parameters, but no seed or draw count."""
+
+    seeds: tuple[int, ...]
+    models: tuple[str, ...] = ()
+    draws: int = DEFAULT_DRAWS
+    parity_fraction: float = 0.8
+    fractions: tuple[float, ...] = ()
+    gpr: dict = field(default_factory=dict)
+    bnn_head: dict = field(default_factory=dict)
+    bnn_ensemble: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        unknown = sorted(set(self.models) - set(_UQ_FAMILIES))
+        if unknown:
+            raise ProtocolError(f"unknown uq model(s) {unknown}; known: {list(_UQ_FAMILIES)}")
+        for family in _UQ_FAMILIES:
+            if {"seed", "n_draws"} & set(getattr(self, family)):
+                raise ProtocolError(f"uq.{family} sets no seed or n_draws: protocol.seed, "
+                                    "uq.seeds and uq.draws do")
+        # draws is the one draw count, for the parity run and the trend study
+        object.__setattr__(self, "bnn_ensemble", {**self.bnn_ensemble, "n_draws": self.draws})
+
+
+def _load_config(path) -> _Config:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return read_config(_Config, json.load(handle), "config")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _resolve_data(config: dict, data_override=None, schema_override=None):
+def _resolve_data(config: _Config, data_override=None, schema_override=None):
     """Return (DesignMatrix, data_path_or_None) from config or CLI overrides."""
-    data_path = data_override or config.get("data")
+    data_path = data_override or config.data
     if data_path:
-        schema_path = schema_override or config.get("schema")
+        schema_path = schema_override or config.schema
         schema = load_schema(schema_path) if schema_path else default_schema()
         table = load_csv(data_path, schema)
         return encode(table), data_path
-    synthetic = config.get("synthetic", {})
-    table = generate_synthetic(
-        n=int(synthetic.get("n", 800)),
-        noise_sigma=float(synthetic.get("noise_sigma", 0.05)),
-        seed=int(synthetic.get("seed", 7)),
-    )
-    return encode(table), None
+    synthetic = read_config(_Synthetic, config.synthetic, "synthetic")
+    return encode(generate_synthetic(**vars(synthetic))), None
 
 
-def _resolve_protocol(config: dict, args) -> Protocol:
-    doc = dict(config.get("protocol", {}))
-    fractions = doc.pop("fractions", [0.8, 0.2, 0.0])
-    if not isinstance(fractions, (list, tuple)) or len(fractions) != 3:
-        raise ProtocolError("protocol.fractions must be [train, test, holdout]")
-    protocol = Protocol(
-        outer_iterations=int(doc.pop("outer_iterations", 3)),
-        inner_iterations=int(doc.pop("inner_iterations", 50)),
-        fractions=Fractions(*[float(f) for f in fractions]),
-        k=int(doc.pop("k", 5)),
-        seed=int(doc.pop("seed", 2022)),
-        scaler_method=str(doc.pop("scaler_method", "zscore")),
-        grid_mode=str(doc.pop("grid_mode", "per_inner")),
-        workers=int(doc.pop("workers", 1)),
-    )
-    if doc:
-        raise ProtocolError(f"unknown protocol key(s): {sorted(doc)}")
-    from dataclasses import replace
-    if args.seed is not None:
-        protocol = replace(protocol, seed=int(args.seed))
-    if args.workers is not None:
-        protocol = replace(protocol, workers=int(args.workers))
-    preset = args.preset or config.get("preset")
+def _resolve_protocol(config: _Config, args) -> Protocol:
+    if "test_complement" in config.protocol:
+        # fraction_sweep sets it; a config may not
+        raise ProtocolError("unknown protocol key(s): ['test_complement']")
+    flags = {key: getattr(args, key) for key in ("seed", "workers")
+             if getattr(args, key) is not None}
+    protocol = read_config(Protocol, {**config.protocol, **flags}, "protocol")
+    preset = args.preset or config.preset
     if preset == "ci":
         protocol = ci_preset(protocol)
     elif preset not in (None, "full"):
@@ -172,18 +211,12 @@ def _resolve_protocol(config: dict, args) -> Protocol:
     return protocol
 
 
-def _family_specs(config: dict) -> list[tuple[str, HyperGrid]]:
-    specs = config.get("families")
-    if not specs:
+def _family_specs(config: _Config) -> list[tuple[str, HyperGrid]]:
+    if not config.families:
         raise ProtocolError("config lists no model families")
-    out = []
-    for entry in specs:
-        family = entry.get("family")
-        if not family:
-            raise ProtocolError("each families[] entry needs a 'family' key")
-        out.append((str(family), HyperGrid(family=str(family),
-                                           axes=entry.get("grid", {}))))
-    return out
+    specs = [read_config(_FamilySpec, entry, f"families[{i}]")
+             for i, entry in enumerate(config.families)]
+    return [(spec.family, HyperGrid(family=spec.family, axes=spec.grid)) for spec in specs]
 
 
 # -- commands -----------------------------------------------------------------
@@ -262,13 +295,11 @@ def cmd_sweep(args) -> int:
     matrix, data_path = _resolve_data(config, args.data, args.schema)
     protocol = _resolve_protocol(config, args)
     specs = _family_specs(config)
-    fractions = config.get("sweep_fractions",
-                           [round(0.1 * i, 1) for i in range(1, 10)])
     out_dir = Path(args.out)
     manifest = _make_manifest("sweep", args.config, data_path, protocol.seed)
 
     for family, grid in specs:
-        report = fraction_sweep(family, grid, matrix, fractions, protocol,
+        report = fraction_sweep(family, grid, matrix, config.sweep_fractions, protocol,
                                 keep_best_predictions=True)
         _write(out_dir, f"sweep_{family}.json", sweep_report_to_json(report))
         _write(out_dir, f"sweep_{family}.csv", sweep_report_to_csv(report))
@@ -282,28 +313,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-# the models `dimuq uq` fits, in the order it reports them
-_UQ_FAMILIES = ("gpr", "bnn_head", "bnn_ensemble")
-
-
-def _uq_params(uq_config: dict, family: str) -> dict:
-    """Registry parameters of ``family`` from its ``uq`` block; ``uq.draws``
-    is the one draw count, and protocol.seed and ``uq.seeds`` the seeds."""
-    params = dict(uq_config.get(family, {}))
-    if "seed" in params:
-        raise ProtocolError(f"uq.{family}.seed: seeds come from protocol.seed and uq.seeds")
-    if family == "bnn_ensemble":
-        if "n_draws" in params:
-            raise ProtocolError("set the draw count with uq.draws, not bnn_ensemble.n_draws")
-        params["n_draws"] = uq_config.get("draws", 200)
-    return params
-
-
-def _uq_parity_runs(models: list, uq_config: dict, matrix, protocol,
+def _uq_parity_runs(models: list, fraction: float, matrix, protocol,
                     out_dir: Path) -> None:
-    """Fit the probabilistic models once at the configured fraction and emit
+    """Fit the probabilistic models once at training ``fraction`` and emit
     parity tables (and loss traces / snapshots for the network models)."""
-    fraction = float(uq_config.get("parity_fraction", 0.8))
     plan = dual_mc_split(matrix.n_rows, Fractions(fraction, 1.0 - fraction, 0.0),
                          protocol.seed, 0)
     train = matrix.take(plan.train)
@@ -340,30 +353,22 @@ def cmd_uq(args) -> int:
     config = _load_config(args.config)
     matrix, data_path = _resolve_data(config, args.data, args.schema)
     protocol = _resolve_protocol(config, args)
-    uq_config = dict(config.get("uq", {}))
+    uq = read_config(_Uq, {"seeds": [protocol.seed], **config.uq}, "uq")
     out_dir = Path(args.out)
     manifest = _make_manifest("uq", args.config, data_path, protocol.seed)
 
-    names = uq_config.get("models", [])
-    unknown = sorted(set(names) - set(_UQ_FAMILIES))
-    if unknown:
-        raise ProtocolError(f"unknown uq model(s) {unknown}; known: {list(_UQ_FAMILIES)}")
     # built before anything trains, so a bad parameter fails first
-    models = [(family, build_model(family, _uq_params(uq_config, family),
-                                   seed=protocol.seed))
-              for family in _UQ_FAMILIES if family in names]
+    models = [(family, build_model(family, getattr(uq, family), seed=protocol.seed))
+              for family in _UQ_FAMILIES if family in uq.models]
 
-    if uq_config.get("fractions"):
-        report = uq_trend_study(
-            _uq_params(uq_config, "bnn_ensemble"), matrix,
-            uq_config["fractions"], uq_config.get("seeds", [protocol.seed]),
-            scaler_method=protocol.scaler_method,
-        )
+    if uq.fractions:
+        report = uq_trend_study(uq.bnn_ensemble, matrix, uq.fractions,
+                                uq.seeds, scaler_method=protocol.scaler_method)
         _write(out_dir, "uq_trend.json", uq_report_to_json(report))
         _write(out_dir, "uq_trend.csv", uq_report_to_csv(report))
         print(f"uq trend: {len(report.fractions)} fractions x {len(report.seeds)} seeds")
 
-    _uq_parity_runs(models, uq_config, matrix, protocol, out_dir)
+    _uq_parity_runs(models, uq.parity_fraction, matrix, protocol, out_dir)
     _write(out_dir, "manifest.json", manifest.to_json())
     return EXIT_OK
 

@@ -10,7 +10,7 @@ from .evaluation import (
     run_evaluation,
     uq_trend_study,
 )
-from .families import FAMILY_NAMES, build_model
+from .families import FAMILY_NAMES, build_model, read_config
 from .reports import (
     comparison_table,
     eval_report_to_dict,
@@ -30,7 +30,7 @@ __all__ = [
     "HyperGrid", "CvResult", "grid_search",
     "Protocol", "ci_preset", "EvalReport", "SweepReport", "UqTrendReport",
     "run_evaluation", "fraction_sweep", "uq_trend_study",
-    "FAMILY_NAMES", "build_model",
+    "FAMILY_NAMES", "build_model", "read_config",
     "comparison_table",
     "eval_report_to_dict", "eval_report_to_json",
     "sweep_report_to_dict", "sweep_report_to_json", "sweep_report_to_csv",

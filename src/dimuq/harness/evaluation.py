@@ -20,7 +20,7 @@ from ..bnn import ensemble_predict, train_ensemble_model
 from ..data import DesignMatrix, apply_scaler, fit_scaler
 from ..errors import DimuqError, ProtocolError, numeric_cause
 from ..metrics import rmse
-from .families import build_model
+from .families import build_model, matches
 from .search import HyperGrid, grid_search
 from .splits import Fractions, dual_mc_split
 
@@ -29,6 +29,7 @@ from .splits import Fractions, dual_mc_split
 class Protocol:
     outer_iterations: int = 3
     inner_iterations: int = 50
+    # a JSON [train, test, holdout] list becomes Fractions
     fractions: Fractions = field(default_factory=lambda: Fractions(0.8, 0.2, 0.0))
     k: int = 5
     seed: int = 2022
@@ -38,10 +39,16 @@ class Protocol:
     workers: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.fractions, Fractions):
+            if not (matches(tuple[float, ...], self.fractions) and len(self.fractions) == 3):
+                raise ProtocolError("protocol.fractions must be [train, test, holdout]")
+            object.__setattr__(self, "fractions", Fractions(*map(float, self.fractions)))
         if self.outer_iterations < 1 or self.inner_iterations < 1:
             raise ProtocolError("iteration counts must be >= 1")
         if self.grid_mode not in ("per_inner", "per_outer"):
             raise ProtocolError(f"unknown grid_mode {self.grid_mode!r}")
+        if self.k < 2:
+            raise ProtocolError("k must be >= 2")
         if self.workers < 1:
             raise ProtocolError("workers must be >= 1")
         if self.seed < 0:
@@ -335,4 +342,4 @@ def uq_trend_study(params: dict, data: DesignMatrix, fractions_list=None,
             "std_test_rmse": float(rmses.std(ddof=1)) if len(seeds) > 1 else 0.0,
         })
     return UqTrendReport(fractions=tuple(fractions_list), seeds=tuple(seeds),
-                         n_draws=model.n_draws, rows=tuple(rows))
+                         n_draws=model.params.n_draws, rows=tuple(rows))

@@ -1,21 +1,23 @@
-"""Model family registry: names, config types, and constructors.
+"""The one reader of JSON config blocks, and the model family registry.
 
-The registry is what lets grid axes stay plain key/value documents; a
-candidate is merged into the family's default config and instantiated here.
-Families whose configs carry a seed get one derived from the protocol when
-the candidate does not pin it.
+``read_config`` turns every config block, from a grid candidate to the whole
+document, into its dataclass. The registry is a table of (parameter
+dataclass, model constructor) pairs, so grid axes stay plain documents.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+import functools
+import types
+import typing
+from dataclasses import dataclass
 
 from ..bnn import (
+    DEFAULT_DRAWS,
     DEFAULT_ENSEMBLE_EPOCHS,
+    DEFAULT_HEAD_EPOCHS,
     EnsembleConfig,
-    EnsembleNetwork,
     HeadConfig,
-    HeadNetwork,
     decompose_uncertainty,
     train_ensemble_model,
     train_head_model,
@@ -38,56 +40,116 @@ from ..models import (
     TreeConfig,
 )
 
+def matches(hint, value) -> bool:
+    """Whether the JSON ``value`` fits the annotation ``hint``. A float
+    field takes an int, an int field no float, and neither a bool; a
+    ``tuple[X, ...]`` field takes a list. Annotations that are not JSON
+    types are left to the dataclass."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(matches(member, value) for member in args)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(matches(args[0], v) for v in value)
+    if hint not in (type(None), bool, int, float, str, list, dict):
+        return True
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
-class _HeadModelAdapter(ProbabilisticRegressor):
-    def __init__(self, config: HeadConfig, epochs: int, seed: int):
-        self.config = config
-        self.epochs = epochs
-        self.seed = seed
-        self.network: HeadNetwork | None = None
 
+# a config dataclass's type hints are its fields, resolved once per class
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def read_config(cls, doc, where: str, seed: int | None = None):
+    """The ``cls`` instance the JSON object ``doc`` describes. Each key must
+    name a field and each value fit its annotation; ``seed`` fills a
+    ``seed`` field the block leaves unset. Any failure, the dataclass's own
+    checks included, raises ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {doc!r}")
+    hints = _field_types(cls)
+    unknown = sorted(set(doc) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown parameter(s) {unknown} for {where}")
+    if seed is not None and "seed" in hints and "seed" not in doc:
+        doc = {**doc, "seed": seed}
+    try:
+        for name, value in doc.items():
+            hint = hints[name]
+            if not matches(hint, value):
+                raise TypeError(f"{name} must be {getattr(hint, '__name__', hint)}, "
+                                f"not {value!r}")
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where} parameters: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class _GprParams(KernelParams):
+    n_restarts: int = 0
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class _HeadParams(HeadConfig):
+    epochs: int = DEFAULT_HEAD_EPOCHS
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class _EnsembleParams(EnsembleConfig):
+    epochs: int = DEFAULT_ENSEMBLE_EPOCHS
+    n_draws: int = DEFAULT_DRAWS
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_draws < 2:
+            raise ConfigError("n_draws must be >= 2")
+
+
+class _NetworkAdapter(ProbabilisticRegressor):
+    """A network trained from ``params``: its config plus epochs and seed."""
+
+    def __init__(self, params):
+        self.params = params
+        self.network = None
+
+    def diagnostics(self) -> dict:
+        return {} if self.network is None else self.network.diagnostics()
+
+    def _trained(self):
+        if self.network is None:
+            raise ConfigError("predict before fit")
+        return self.network
+
+
+class _HeadModelAdapter(_NetworkAdapter):
     def fit(self, matrix):
-        self.network = train_head_model(matrix, self.config, epochs=self.epochs,
-                                        seed=self.seed)
+        self.network = train_head_model(matrix, self.params, epochs=self.params.epochs,
+                                        seed=self.params.seed)
         return self
 
     def predict(self, features) -> Prediction:
-        if self.network is None:
-            raise ConfigError("predict before fit")
-        return self.network.predict(features)
-
-    def diagnostics(self) -> dict:
-        return {} if self.network is None else self.network.diagnostics()
+        return self._trained().predict(features)
 
     def predict_dist(self, features):
-        if self.network is None:
-            raise ConfigError("predict before fit")
-        return self.network.predict_dist(features)
+        return self._trained().predict_dist(features)
 
 
-class _EnsembleModelAdapter(ProbabilisticRegressor):
-    def __init__(self, config: EnsembleConfig, epochs: int, seed: int, n_draws: int):
-        self.config = config
-        self.epochs = epochs
-        self.seed = seed
-        self.n_draws = n_draws
-        self.network: EnsembleNetwork | None = None
-
+class _EnsembleModelAdapter(_NetworkAdapter):
     def fit(self, matrix):
-        self.network = train_ensemble_model(matrix, self.config, epochs=self.epochs,
-                                            seed=self.seed)
+        self.network = train_ensemble_model(matrix, self.params,
+                                            epochs=self.params.epochs,
+                                            seed=self.params.seed)
         return self
-
-    def diagnostics(self) -> dict:
-        return {} if self.network is None else self.network.diagnostics()
 
     def _ensemble(self, features):
         # looked up on dimuq.bnn at call time: perfbench/layers.py wraps it there
         from ..bnn import ensemble_predict
-        if self.network is None:
-            raise ConfigError("predict before fit")
-        return ensemble_predict(self.network, features, n_draws=self.n_draws,
-                                seed=self.seed)
+        return ensemble_predict(self._trained(), features, n_draws=self.params.n_draws,
+                                seed=self.params.seed)
 
     def predict(self, features) -> Prediction:
         return Prediction(self._ensemble(features).mixture_means())
@@ -102,101 +164,29 @@ class _EnsembleModelAdapter(ProbabilisticRegressor):
         return PredictiveDistribution(means=means, stddevs=decomposition.total)
 
 
-def _config_kwargs(config_type, params: dict) -> dict:
-    names = {f.name for f in fields(config_type)}
-    unknown = set(params) - names
-    if unknown:
-        raise ConfigError(
-            f"unknown parameter(s) {sorted(unknown)} for {config_type.__name__}"
-        )
-    return params
-
-
-def _build_knn(params, seed):
-    return KnnRegressor(KnnConfig(**_config_kwargs(KnnConfig, params)))
-
-
-def _build_tree(params, seed):
-    return DecisionTreeRegressor(TreeConfig(**_config_kwargs(TreeConfig, params)))
-
-
-def _build_forest(params, seed):
-    params.setdefault("seed", seed)
-    return RandomForestRegressor(ForestConfig(**_config_kwargs(ForestConfig, params)))
-
-
-def _build_gbt(params, seed):
-    params.setdefault("seed", seed)
-    if "max_depth" in params and "max_leaf_nodes" not in params:
-        params["max_leaf_nodes"] = None
-    return GradientBoostingRegressor(GbtConfig(**_config_kwargs(GbtConfig, params)))
-
-
-def _build_svr(params, seed):
-    return SvrRegressor(SvrConfig(**_config_kwargs(SvrConfig, params)))
-
-
-def _build_mlp(params, seed):
-    params.setdefault("seed", seed)
-    return MlpRegressor(MlpConfig(**_config_kwargs(MlpConfig, params)))
-
-
-def _build_gpr(params, seed):
-    n_restarts = params.pop("n_restarts", 0)
-    init = KernelParams(
-        amplitude=params.pop("amplitude", 1.0),
-        length_scale=params.pop("length_scale", 1.0),
-        noise_level=params.pop("noise_level", 1.0),
-        nu=params.pop("nu", 1.5),
-    )
-    gpr_seed = params.pop("seed", seed)
-    if params:
-        raise ConfigError(f"unknown parameter(s) {sorted(params)} for gpr")
-    return GprRegressor(init=init, n_restarts=int(n_restarts), seed=gpr_seed)
-
-
-def _build_bnn_head(params, seed):
-    epochs = params.pop("epochs", 4000)
-    bnn_seed = params.pop("seed", seed)
-    config = HeadConfig(**_config_kwargs(HeadConfig, params))
-    return _HeadModelAdapter(config, epochs=int(epochs), seed=bnn_seed)
-
-
-def _build_bnn_ensemble(params, seed):
-    epochs = params.pop("epochs", DEFAULT_ENSEMBLE_EPOCHS)
-    n_draws = int(params.pop("n_draws", 200))
-    if n_draws < 2:
-        raise ConfigError("n_draws must be >= 2")
-    bnn_seed = params.pop("seed", seed)
-    config = EnsembleConfig(**_config_kwargs(EnsembleConfig, params))
-    return _EnsembleModelAdapter(config, epochs=int(epochs), seed=bnn_seed,
-                                 n_draws=n_draws)
-
-
-# each builder gets its own copy of the params, which it may change
-_BUILDERS = {
-    "knn": _build_knn,
-    "decision_tree": _build_tree,
-    "random_forest": _build_forest,
-    "gbt": _build_gbt,
-    "svr": _build_svr,
-    "mlp": _build_mlp,
-    "gpr": _build_gpr,
-    "bnn_head": _build_bnn_head,
-    "bnn_ensemble": _build_bnn_ensemble,
+_FAMILIES = {
+    "knn": (KnnConfig, KnnRegressor),
+    "decision_tree": (TreeConfig, DecisionTreeRegressor),
+    "random_forest": (ForestConfig, RandomForestRegressor),
+    "gbt": (GbtConfig, GradientBoostingRegressor),
+    "svr": (SvrConfig, SvrRegressor),
+    "mlp": (MlpConfig, MlpRegressor),
+    "gpr": (_GprParams, lambda p: GprRegressor(p, n_restarts=p.n_restarts, seed=p.seed)),
+    "bnn_head": (_HeadParams, _HeadModelAdapter),
+    "bnn_ensemble": (_EnsembleParams, _EnsembleModelAdapter),
 }
 
-FAMILY_NAMES = tuple(_BUILDERS)
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def build_model(family: str, params: dict, seed: int = 0):
-    """An unfitted model of ``family`` from plain key/value parameters. A
-    value of the wrong type or form raises ConfigError, chained to the
-    original TypeError or ValueError."""
-    builder = _BUILDERS.get(family)
-    if builder is None:
-        raise ConfigError(f"unknown model family {family!r}; known: {sorted(_BUILDERS)}")
-    try:
-        return builder(dict(params), seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {family} parameters: {exc}") from exc
+    """An unfitted model of ``family`` from plain key/value parameters; the
+    ``seed`` applies when the family has one and ``params`` leave it unset.
+    A bad key or value raises ConfigError."""
+    if family not in _FAMILIES:
+        raise ConfigError(f"unknown model family {family!r}; known: {sorted(_FAMILIES)}")
+    config_type, construct = _FAMILIES[family]
+    if family == "gbt" and "max_depth" in params and "max_leaf_nodes" not in params:
+        # gbt only: a depth limit without a leaf budget turns the budget off
+        params = {**params, "max_leaf_nodes": None}
+    return construct(read_config(config_type, params, family, seed=seed))

@@ -24,11 +24,13 @@ class HyperGrid:
     axes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        axes = {str(k): list(v) for k, v in self.axes.items()}
-        object.__setattr__(self, "axes", axes)
-        for name, values in axes.items():
-            if not values:
-                raise ConfigError(f"grid axis {name!r} is empty")
+        if not isinstance(self.axes, dict):
+            raise ConfigError(f"a {self.family} grid maps axis names to value lists, "
+                              f"not {self.axes!r}")
+        for name, values in self.axes.items():
+            if not (isinstance(values, list) and values):
+                raise ConfigError(f"grid axis {name!r} must be a nonempty list, not {values!r}")
+        object.__setattr__(self, "axes", {str(k): list(v) for k, v in self.axes.items()})
 
     def candidates(self) -> list[dict]:
         """Cartesian product in declared axis order; a no-axis grid has one

@@ -62,14 +62,12 @@ class TestElbo:
 
         def loss_of(flat):
             model.set_flat_params(flat)
-            total, _, _ = elbo_loss(model, X, y, kl_weight=0.05, noise=noise,
-                                    training=True, update_running=False)
+            total, _, _ = elbo_loss(model, X, y, kl_weight=0.05, noise=noise)
             return total
 
         flat0 = model.flat_params()
         model.set_flat_params(flat0)
-        elbo_loss(model, X, y, kl_weight=0.05, noise=noise, training=True,
-                  update_running=False, with_grads=True)
+        elbo_loss(model, X, y, kl_weight=0.05, noise=noise, with_grads=True)
         analytic = np.concatenate([g.ravel() for g in model.grads()])
         numeric = central_difference(loss_of, flat0, h=1e-6)
         # covers every trainable class: batch-norm gamma/beta, variational
@@ -90,8 +88,7 @@ class TestHeadNetworkGradients:
 
         def loss_of(flat):
             model.set_flat_params(flat)
-            nll, reg = model.loss_and_grads(X, y, kl_weight=0.01, training=True,
-                                            update_running=False)
+            nll, reg = model.loss_and_grads(X, y, kl_weight=0.01)
             return nll + reg
 
         flat0 = model.flat_params()
@@ -104,7 +101,7 @@ class TestHeadNetworkGradients:
         model = HeadNetwork(3, (2,), seed=0)
         model.output.W[...] = 0.0
         model.output.b[...] = np.array([0.0, -40.0])  # deeply negative raw scale
-        head = model.forward(np.zeros((2, 3)), training=False)
+        head = model.infer(np.zeros((2, 3)))
         assert np.all(head.stddevs > 0)
 
 

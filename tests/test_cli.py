@@ -98,6 +98,15 @@ class TestEvaluate:
         config = self.make_config(tmp_path, families=[])
         assert run_cli("evaluate", "--config", config, "--out", tmp_path / "o") == 3
 
+    def test_integer_fraction_writes_the_same_report(self, tmp_path):
+        protocol = {"outer_iterations": 1, "inner_iterations": 2, "k": 3, "seed": 7}
+        reports = []
+        for name, fractions in (("int", [0.8, 0.2, 0]), ("float", [0.8, 0.2, 0.0])):
+            config = self.make_config(tmp_path, protocol={**protocol, "fractions": fractions})
+            assert run_cli("evaluate", "--config", config, "--out", tmp_path / name) == 0
+            reports.append((tmp_path / name / "report_knn.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_reports_are_byte_identical_across_reruns(self, tmp_path):
         config = self.make_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -277,6 +286,78 @@ class TestPartialFailure:
         assert failure["error"].startswith(
             "ProtocolError: every iteration failed; first error: SearchError: "
             "every candidate failed; first error: ConfigError: bad knn parameters")
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("family, grid", [
+        ("knn", {"k": [6.0]}),
+        ("mlp", {"learning_rate": ["0.1"]}),
+        ("gbt", {"n_estimators": [2.0]}),
+    ])
+    def test_grid_value_of_the_wrong_json_type_exits_3(self, tmp_path, family, grid,
+                                                        workers):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "synthetic": {"n": 60, "noise_sigma": 0.05, "seed": 5},
+            "protocol": {"outer_iterations": 1, "inner_iterations": 2,
+                         "fractions": [0.8, 0.2, 0.0], "k": 2, "seed": 7,
+                         "workers": workers},
+            "families": [{"family": family, "grid": grid}],
+        }))
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--config", config, "--out", out) == 3
+        assert not (out / f"report_{family}.json").exists()
+        [failure] = read_json(out / "failures.json")
+        assert failure["error"].startswith(
+            "ProtocolError: every iteration failed; first error: SearchError: "
+            f"every candidate failed; first error: ConfigError: bad {family} parameters")
+
+
+def _small_config(command, **overrides):
+    config = {
+        "synthetic": {"n": 60, "noise_sigma": 0.05, "seed": 5},
+        "protocol": {"outer_iterations": 1, "inner_iterations": 1, "k": 2, "seed": 7},
+    }
+    if command == "uq":
+        config["uq"] = {"models": ["gpr"], "draws": 5}
+    else:
+        config["families"] = [{"family": "knn", "grid": {"k": [1]}}]
+    for path, value in overrides.items():
+        *blocks, key = path.split(".")
+        target = config
+        for block in blocks:
+            target = target[block]
+        target[key] = value
+    return config
+
+
+class TestBadConfig:
+    @pytest.mark.parametrize("command, overrides", [
+        ("evaluate", {"protocol.k": "x"}),
+        ("evaluate", {"protocol.k": 5.5}),
+        ("evaluate", {"protocol.workers": True}),
+        ("evaluate", {"protocol.fractions": [0.8, "0.2", 0.0]}),
+        ("evaluate", {"protocol.test_complement": True}),
+        ("evaluate", {"protocol": 5}),
+        ("evaluate", {"protcol": {}}),
+        ("evaluate", {"synthetic.n": "x"}),
+        ("evaluate", {"synthetic.nn": 5}),
+        ("evaluate", {"families": [{"family": "knn", "grd": {"k": [4]}}]}),
+        ("evaluate", {"families": [{"family": "knn", "grid": [1]}]}),
+        ("evaluate", {"families": [{"family": "knn", "grid": {"k": 5}}]}),
+        ("evaluate", {"families": [{"family": "knn", "grid": {"metric": "manhattan"}}]}),
+        ("sweep", {"sweep_fractons": [0.5]}),
+        ("sweep", {"sweep_fractions": ["0.5"]}),
+        ("uq", {"uq.parity_fraction": "x"}),
+        ("uq", {"uq.model": ["gpr"]}),
+        ("uq", {"uq.seeds": [1.5]}),
+    ])
+    def test_exits_3_and_writes_no_report(self, tmp_path, command, overrides):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_small_config(command, **overrides)))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", config, "--out", out) == 3
+        assert not out.exists()
 
 
 class TestBadUqParams:

@@ -12,10 +12,18 @@ from dimuq.harness import (
     fraction_sweep,
     grid_search,
     kfold_indices,
+    read_config,
     run_evaluation,
 )
 from dimuq.metrics import rmse
-from dimuq.models import KnnConfig, KnnRegressor
+from dimuq.models import (
+    ForestConfig,
+    KnnConfig,
+    KnnRegressor,
+    MlpConfig,
+    SvrConfig,
+    TreeConfig,
+)
 
 
 class TestDualMcSplit:
@@ -373,3 +381,34 @@ class TestFamilyRegistry:
         from dimuq.harness import build_model
         with pytest.raises(ConfigError):
             build_model("bnn_ensemble", {"n_draws": 1}, seed=0)
+
+
+class TestReadConfig:
+    @pytest.mark.parametrize("cls, doc, field, value", [
+        (KnnConfig, {"k": 3}, "k", 3),
+        (SvrConfig, {"c": 2}, "c", 2),                         # a float field takes an int
+        (SvrConfig, {"gamma": 0.5}, "gamma", 0.5),             # float | str
+        (TreeConfig, {"max_depth": None}, "max_depth", None),  # int | None
+        (MlpConfig, {"hidden_sizes": [6, 3]}, "hidden_sizes", (6, 3)),
+        (MlpConfig, {}, "seed", 9),                            # the given seed fills it
+        (MlpConfig, {"seed": 2}, "seed", 2),                   # unless the block sets it
+    ])
+    def test_accepts_values_of_the_annotated_type(self, cls, doc, field, value):
+        assert getattr(read_config(cls, doc, "block", seed=9), field) == value
+
+    @pytest.mark.parametrize("cls, doc", [
+        (KnnConfig, {"k": 6.0}),
+        (KnnConfig, {"k": True}),
+        (KnnConfig, {"k": "6"}),
+        (SvrConfig, {"c": False}),
+        (MlpConfig, {"hidden_sizes": [6, 3.0]}),
+        (MlpConfig, {"hidden_sizes": 6}),
+        (ForestConfig, {"bootstrap": 1}),
+        (Protocol, {"fractions": [0.8, 0.2]}),
+        (Protocol, {"k": 1}),
+        (KnnConfig, [3]),
+        (KnnConfig, {"neighbours": 3}),
+    ])
+    def test_rejects_the_rest_with_a_config_exit(self, cls, doc):
+        with pytest.raises((ConfigError, ProtocolError)):
+            read_config(cls, doc, "block")
