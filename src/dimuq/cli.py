@@ -33,6 +33,7 @@ from .errors import (
     numeric_cause,
 )
 from .harness import (
+    FAMILY_NAMES,
     Fractions,
     HyperGrid,
     Protocol,
@@ -146,6 +147,11 @@ class _Synthetic:
 class _FamilySpec:
     family: str
     grid: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.family not in FAMILY_NAMES:
+            raise ProtocolError(f"unknown model family {self.family!r}; "
+                                f"known: {sorted(FAMILY_NAMES)}")
 
 
 @dataclass(frozen=True)

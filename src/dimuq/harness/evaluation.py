@@ -247,6 +247,8 @@ def fraction_sweep(family: str, grid: HyperGrid, data: DesignMatrix,
                    keep_best_predictions: bool = False) -> SweepReport:
     """Run the full protocol at each training fraction; test on the complement."""
     fractions_list = [float(f) for f in fractions_list]
+    if not fractions_list:
+        raise ProtocolError("at least one sweep fraction is required")
     if any(not 0.0 < f < 1.0 for f in fractions_list):
         raise ProtocolError("sweep fractions must lie in (0, 1)")
     rows = []

@@ -351,6 +351,8 @@ class TestBadConfig:
         ("uq", {"uq.parity_fraction": "x"}),
         ("uq", {"uq.model": ["gpr"]}),
         ("uq", {"uq.seeds": [1.5]}),
+        ("evaluate", {"families": [{"family": "knnn"}, {"family": "knn", "grid": {"k": [1]}}]}),
+        ("sweep", {"sweep_fractions": []}),
     ])
     def test_exits_3_and_writes_no_report(self, tmp_path, command, overrides):
         config = tmp_path / "config.json"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dimuq import synthetic_matrix
 from dimuq.errors import ConfigError
-from dimuq.models import DecisionTreeRegressor, TreeConfig
+from dimuq.models import DecisionTreeRegressor, ForestConfig, RandomForestRegressor, TreeConfig
 from dimuq.models.tree import grow_tree, predict_tree
 
 from helpers import matrix_from_arrays
@@ -152,3 +153,36 @@ class TestDecisionTree:
         root = grow_tree(X, y, criterion="squared_error", max_depth=3, min_samples_leaf=2)
         expected = reference_predict(X, y, queries, max_depth=3, min_leaf=2)
         np.testing.assert_allclose(predict_tree(root, queries), expected, rtol=1e-12)
+
+
+# Predictions pinned to the last bit on a fixed fixture: the squared-error
+# score's operation order, the absolute-error candidate cap and the forest's
+# per-node feature draws all show in them.
+PINNED_PREDICTIONS = {
+    "depth_first": ["0x1.45989e023fe0ap-5", "-0x1.d259a028b01f6p-5", "-0x1.05daca71a38f1p-3",
+                    "0x1.3a67e2058607fp-4", "-0x1.24776ec20673bp-5", "0x1.2e52224c82e03p-5"],
+    "absolute_error": ["0x1.cc80410abc4d5p-6", "-0x1.d38dac4e0a600p-8",
+                       "-0x1.ee3abc4267824p-4", "0x1.cc80410abc4d5p-6",
+                       "0x1.8275295c126bfp-5", "0x1.3f4cead9b6078p-4"],
+    "leaf_budget": ["0x1.b7d37fec105b9p-5", "-0x1.417784ec41319p-5", "-0x1.2bbfaf7a5b528p-3",
+                    "0x1.b7d37fec105b9p-5", "0x1.5876f4f6311e4p-7", "0x1.541ba0706d211p-4"],
+    "forest": ["-0x1.22f1997bd6ccep-6", "0x1.b15da4b0f745ap-9", "0x1.afa40533e1c78p-5",
+               "0x1.2f3c81e501c26p-5", "-0x1.d72ed4431b64ep-6", "0x1.3ed9cbc405248p-4"],
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_PREDICTIONS))
+def test_predictions_match_pinned_bits(model):
+    train = synthetic_matrix(300, 0.05, 8)
+    queries = synthetic_matrix(6, 0.05, 30).features
+    X, y = train.features, train.targets
+    if model == "forest":
+        forest = RandomForestRegressor(ForestConfig(n_estimators=5, max_features=3)).fit(train)
+        predicted = forest.predict(queries).values
+    else:
+        settings = {"depth_first": dict(max_depth=8, min_samples_leaf=2),
+                    "absolute_error": dict(criterion="absolute_error", max_depth=4,
+                                           min_samples_leaf=2),
+                    "leaf_budget": dict(max_leaf_nodes=12)}[model]
+        predicted = predict_tree(grow_tree(X, y, **settings), queries)
+    assert [float(v).hex() for v in predicted] == PINNED_PREDICTIONS[model]
