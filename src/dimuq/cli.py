@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-# train_head_model, train_ensemble_model and ensemble_predict are not called
-# here: perfbench/layers.py wraps these names on this module. The calls go
-# through the registry, where the same functions are wrapped.
+# train_head_model, train_ensemble_model, ensemble_predict, fit_scaler and
+# apply_scaler are not called here: perfbench/layers.py wraps these names on
+# this module. The calls go through the registry and scale_split, where the
+# same functions are wrapped.
 from .bnn import (DEFAULT_DRAWS, ensemble_predict, save_snapshot, train_ensemble_model,
                   train_head_model)
 from .data import apply_scaler, encode, fit_scaler, generate_synthetic, load_csv
@@ -40,11 +41,13 @@ from .harness import (
     build_model,
     ci_preset,
     comparison_table,
-    dual_mc_split,
     eval_report_to_json,
     fraction_sweep,
     read_config,
     run_evaluation,
+    scale_split,
+    split_rows,
+    sweep_fractions,
     sweep_report_to_csv,
     sweep_report_to_json,
     uq_report_to_csv,
@@ -203,9 +206,6 @@ def _resolve_data(config: _Config, data_override=None, schema_override=None):
 
 
 def _resolve_protocol(config: _Config, args) -> Protocol:
-    if "test_complement" in config.protocol:
-        # fraction_sweep sets it; a config may not
-        raise ProtocolError("unknown protocol key(s): ['test_complement']")
     flags = {key: getattr(args, key) for key in ("seed", "workers")
              if getattr(args, key) is not None}
     protocol = read_config(Protocol, {**config.protocol, **flags}, "protocol")
@@ -262,6 +262,29 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _each_family(specs, run, out_dir: Path, manifest: RunManifest) -> tuple[list, int]:
+    """Call ``run(family, grid)`` for every family. A family whose run raises
+    is recorded in ``failures.json`` and the others still run; the manifest
+    is always written. Returns the successful runs' results and the first
+    failure's exit code (``EXIT_OK`` when none failed)."""
+    results = []
+    failures = []  # (failure record, exit code) per failed family
+    for family, grid in specs:
+        try:
+            results.append(run(family, grid))
+        except DimuqError as exc:
+            failures.append(({"family": family, "error": f"{type(exc).__name__}: {exc}"},
+                             _exit_code(exc)))
+    _write(out_dir, "manifest.json", manifest.to_json())
+    if not failures:
+        return results, EXIT_OK
+    records = [record for record, _ in failures]
+    _write(out_dir, "failures.json", json.dumps(records, indent=2, sort_keys=True) + "\n")
+    first, code = failures[0]
+    print(f"error: {first['error']}", file=sys.stderr)
+    return results, code
+
+
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
     matrix, data_path = _resolve_data(config, args.data, args.schema)
@@ -270,30 +293,17 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     manifest = _make_manifest("evaluate", args.config, data_path, protocol.seed)
 
-    reports = []
-    failures = []  # (failure record, exit code) per failed family
-    for family, grid in specs:
-        try:
-            report = run_evaluation(family, grid, matrix, protocol)
-        except DimuqError as exc:
-            failures.append(({"family": family, "error": f"{type(exc).__name__}: {exc}"},
-                             _exit_code(exc)))
-            continue
-        reports.append(report)
+    def evaluate(family, grid):
+        report = run_evaluation(family, grid, matrix, protocol)
         _write(out_dir, f"report_{family}.json", eval_report_to_json(report))
         print(f"{family}: average test RMSE {report.average:.5f} mm "
               f"({report.n_successes} iterations, {len(report.failures)} failed)")
+        return report
+
+    reports, code = _each_family(specs, evaluate, out_dir, manifest)
     if reports:
         _write(out_dir, "comparison.csv", comparison_table(reports))
-    _write(out_dir, "manifest.json", manifest.to_json())
-    if failures:
-        records = [record for record, _ in failures]
-        _write(out_dir, "failures.json",
-               json.dumps(records, indent=2, sort_keys=True) + "\n")
-        first, code = failures[0]
-        print(f"error: {first['error']}", file=sys.stderr)
-        return code
-    return EXIT_OK
+    return code
 
 
 def cmd_sweep(args) -> int:
@@ -301,43 +311,36 @@ def cmd_sweep(args) -> int:
     matrix, data_path = _resolve_data(config, args.data, args.schema)
     protocol = _resolve_protocol(config, args)
     specs = _family_specs(config)
+    fractions = sweep_fractions(config.sweep_fractions)
     out_dir = Path(args.out)
     manifest = _make_manifest("sweep", args.config, data_path, protocol.seed)
 
-    for family, grid in specs:
-        report = fraction_sweep(family, grid, matrix, config.sweep_fractions, protocol,
-                                keep_best_predictions=True)
+    def sweep(family, grid):
+        report = fraction_sweep(family, grid, matrix, fractions, protocol)
         _write(out_dir, f"sweep_{family}.json", sweep_report_to_json(report))
         _write(out_dir, f"sweep_{family}.csv", sweep_report_to_csv(report))
-        best = min(report.reports, key=lambda r: r.minimum)
-        if best.best_parity is not None:
-            measured, predicted = best.best_parity
-            _write(out_dir, f"parity_{family}.csv",
-                   parity_table(measured, predicted).to_csv())
+        measured, predicted = min(report.reports, key=lambda r: r.minimum).best_parity
+        _write(out_dir, f"parity_{family}.csv", parity_table(measured, predicted).to_csv())
         print(f"{family}: swept {len(report.fractions)} fractions")
-    _write(out_dir, "manifest.json", manifest.to_json())
-    return EXIT_OK
+
+    return _each_family(specs, sweep, out_dir, manifest)[1]
 
 
 def _uq_parity_runs(models: list, fraction: float, matrix, protocol,
                     out_dir: Path) -> None:
     """Fit the probabilistic models once at training ``fraction`` and emit
     parity tables (and loss traces / snapshots for the network models)."""
-    plan = dual_mc_split(matrix.n_rows, Fractions(fraction, 1.0 - fraction, 0.0),
-                         protocol.seed, 0)
-    train = matrix.take(plan.train)
-    test = matrix.take(plan.test)
-    scaler = fit_scaler(train, protocol.scaler_method)
-    train_scaled = apply_scaler(scaler, train)
-    test_features = apply_scaler(scaler, test).features
+    train, test = split_rows(matrix, Fractions(fraction, 1.0 - fraction, 0.0),
+                             protocol.seed, 0)
+    train, test = scale_split(train, test, protocol.scaler_method)
     for family, model in models:
-        model.fit(train_scaled)
+        model.fit(train)
         if family == "bnn_ensemble":
-            means, decomposition = model.predict_decomposed(test_features)
+            means, decomposition = model.predict_decomposed(test.features)
             spread = {"aleatoric": decomposition.aleatoric,
                       "epistemic": decomposition.epistemic}
         else:
-            dist = model.predict_dist(test_features)
+            dist = model.predict_dist(test.features)
             means, spread = dist.means, {"aleatoric": dist.stddevs}
         _write(out_dir, f"parity_{family}.csv",
                parity_table(test.targets, means, **spread).to_csv())

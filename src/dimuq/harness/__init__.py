@@ -8,6 +8,8 @@ from .evaluation import (
     ci_preset,
     fraction_sweep,
     run_evaluation,
+    split_rows,
+    sweep_fractions,
     uq_trend_study,
 )
 from .families import FAMILY_NAMES, build_model, read_config
@@ -22,14 +24,14 @@ from .reports import (
     uq_report_to_dict,
     uq_report_to_json,
 )
-from .search import CvResult, HyperGrid, grid_search
+from .search import CvResult, HyperGrid, grid_search, scale_split
 from .splits import Fractions, SplitPlan, dual_mc_split, kfold_indices
 
 __all__ = [
     "Fractions", "SplitPlan", "dual_mc_split", "kfold_indices",
-    "HyperGrid", "CvResult", "grid_search",
+    "HyperGrid", "CvResult", "grid_search", "scale_split",
     "Protocol", "ci_preset", "EvalReport", "SweepReport", "UqTrendReport",
-    "run_evaluation", "fraction_sweep", "uq_trend_study",
+    "split_rows", "run_evaluation", "sweep_fractions", "fraction_sweep", "uq_trend_study",
     "FAMILY_NAMES", "build_model", "read_config",
     "comparison_table",
     "eval_report_to_dict", "eval_report_to_json",

@@ -14,14 +14,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# Not called here: perfbench/layers.py wraps these two names on this module.
-# The calls go through the registry, where the same functions are wrapped.
+# Not called here: perfbench/layers.py wraps these four names on this module.
+# The model calls go through the registry and the scaler calls through
+# scale_split, where the same functions are wrapped.
 from ..bnn import ensemble_predict, train_ensemble_model
 from ..data import DesignMatrix, apply_scaler, fit_scaler
 from ..errors import DimuqError, ProtocolError, numeric_cause
 from ..metrics import rmse
 from .families import build_model, matches
-from .search import HyperGrid, grid_search
+from .search import HyperGrid, grid_search, scale_split
 from .splits import Fractions, dual_mc_split
 
 
@@ -35,7 +36,6 @@ class Protocol:
     seed: int = 2022
     scaler_method: str = "zscore"
     grid_mode: str = "per_inner"  # "per_outer" reuses one tuned config per outer loop
-    test_complement: bool = False
     workers: int = 1
 
     def __post_init__(self):
@@ -80,9 +80,9 @@ class EvalReport:
     prediction_range: float
     failures: tuple
     provenance: dict
-    diagnostics: tuple = ()
-    best_iteration: int = -1
-    best_parity: tuple | None = None
+    diagnostics: tuple
+    best_iteration: int
+    best_parity: tuple  # (measured, predicted) on best_iteration's test rows; not serialized
 
     @property
     def n_successes(self) -> int:
@@ -93,59 +93,52 @@ def _derived_seed(seed: int, iteration: int) -> int:
     return int(np.random.SeedSequence([seed, iteration]).generate_state(1)[0])
 
 
-def _split_train_test(data: DesignMatrix, protocol: Protocol, iteration: int):
-    plan = dual_mc_split(data.n_rows, protocol.fractions, protocol.seed, iteration)
-    train_idx = plan.train
-    if protocol.test_complement:
-        test_idx = np.setdiff1d(np.arange(data.n_rows), train_idx)
-    else:
-        test_idx = plan.test
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation (divisor n-1, 0.0 for one value)."""
+    values = np.asarray(values, dtype=float)
+    return float(values.mean()), float(values.std(ddof=1)) if values.size > 1 else 0.0
+
+
+def split_rows(data: DesignMatrix, fractions: Fractions, seed: int, iteration: int,
+               complement: bool = False) -> tuple[DesignMatrix, DesignMatrix]:
+    """The (train, test) matrices of one ``dual_mc_split`` draw. With
+    ``complement`` the test side is every row not trained on."""
+    plan = dual_mc_split(data.n_rows, fractions, seed, iteration)
+    test_idx = np.setdiff1d(np.arange(data.n_rows), plan.train) if complement else plan.test
     if test_idx.size == 0:
         raise ProtocolError("test split is empty under the requested fractions")
-    return train_idx, test_idx
+    return data.take(plan.train), data.take(test_idx)
 
 
-def _run_iteration(family, grid, data, protocol, iteration, fixed_params,
-                   keep_predictions, instrumentation=None):
-    train_idx, test_idx = _split_train_test(data, protocol, iteration)
-    train = data.take(train_idx)
-    test = data.take(test_idx)
+def _run_iteration(family, grid, data, protocol, iteration, fixed_params, complement):
+    train, test = split_rows(data, protocol.fractions, protocol.seed, iteration, complement)
     model_seed = _derived_seed(protocol.seed, iteration)
     if fixed_params is None:
         cv = grid_search(family, grid, train, protocol.k, seed=model_seed,
-                         scaler_method=protocol.scaler_method,
-                         instrumentation=instrumentation)
+                         scaler_method=protocol.scaler_method)
         params = cv.chosen_params
     else:
         params = fixed_params
-    scaler = fit_scaler(train, protocol.scaler_method)
-    if instrumentation is not None:
-        instrumentation("scaler_fit", iteration=iteration, rows=train_idx)
+    train, test = scale_split(train, test, protocol.scaler_method)
     model = build_model(family, params, seed=model_seed)
-    train_scaled = apply_scaler(scaler, train)
-    model.fit(train_scaled)
-    if instrumentation is not None:
-        instrumentation("model_fit", iteration=iteration, rows=train_idx)
-    train_pred = model.predict(train_scaled.features).values
-    test_pred = model.predict(apply_scaler(scaler, test).features).values
-    record = {
+    model.fit(train)
+    train_pred = model.predict(train.features).values
+    test_pred = model.predict(test.features).values
+    return {
         "iteration": iteration,
         "test_rmse": rmse(test_pred, test.targets),
         "train_rmse": rmse(train_pred, train.targets),
         "params": params,
         "diagnostics": model.diagnostics(),
+        "measured": test.targets,
+        "predicted": test_pred,
     }
-    if keep_predictions:
-        record["measured"] = test.targets.copy()
-        record["predicted"] = test_pred
-    return record
 
 
-def _iteration_task(task, instrumentation=None):
-    family, grid, data, protocol, iteration, fixed_params, keep_predictions = task
+def _iteration_task(task):
+    iteration = task[4]  # a task holds _run_iteration's arguments in order
     try:
-        return _run_iteration(family, grid, data, protocol, iteration, fixed_params,
-                              keep_predictions, instrumentation=instrumentation)
+        return _run_iteration(*task)
     except DimuqError as exc:
         # the cause is resolved here: a pickled exception loses its __cause__
         return {"iteration": iteration, "error": f"{type(exc).__name__}: {exc}",
@@ -153,9 +146,9 @@ def _iteration_task(task, instrumentation=None):
 
 
 def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
-                   protocol: Protocol, instrumentation=None,
-                   keep_best_predictions: bool = False) -> EvalReport:
-    """All outer x inner iterations of the protocol, aggregated into a report."""
+                   protocol: Protocol, complement: bool = False) -> EvalReport:
+    """All outer x inner iterations of the protocol, aggregated into a report.
+    With ``complement`` each iteration tests on every row it did not train on."""
     if data.n_rows == 0:
         raise ProtocolError("dataset is empty")
 
@@ -163,11 +156,11 @@ def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
     if protocol.grid_mode == "per_outer":
         for outer in range(protocol.outer_iterations):
             iteration = outer * protocol.inner_iterations
-            train_idx, _ = _split_train_test(data, protocol, iteration)
-            cv = grid_search(family, grid, data.take(train_idx), protocol.k,
+            train, _ = split_rows(data, protocol.fractions, protocol.seed, iteration,
+                                  complement)
+            cv = grid_search(family, grid, train, protocol.k,
                              seed=_derived_seed(protocol.seed, iteration),
-                             scaler_method=protocol.scaler_method,
-                             instrumentation=instrumentation)
+                             scaler_method=protocol.scaler_method)
             fixed_by_outer[outer] = cv.chosen_params
 
     tasks = []
@@ -175,13 +168,13 @@ def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
         for inner in range(protocol.inner_iterations):
             iteration = outer * protocol.inner_iterations + inner
             tasks.append((family, grid, data, protocol, iteration,
-                          fixed_by_outer.get(outer), keep_best_predictions))
+                          fixed_by_outer.get(outer), complement))
 
-    if protocol.workers > 1 and instrumentation is None:
+    if protocol.workers > 1:
         with ProcessPoolExecutor(max_workers=protocol.workers) as pool:
             records = list(pool.map(_iteration_task, tasks))
     else:
-        records = [_iteration_task(task, instrumentation) for task in tasks]
+        records = [_iteration_task(task) for task in tasks]
 
     records.sort(key=lambda r: r["iteration"])
     successes = [r for r in records if "error" not in r]
@@ -193,6 +186,7 @@ def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
         ) from failed[0]["cause"]
 
     test_rmses = [r["test_rmse"] for r in successes]
+    average, stddev = _mean_std(test_rmses)
     best = min(successes, key=lambda r: r["test_rmse"])
     provenance = {
         "family": family,
@@ -214,16 +208,16 @@ def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
         test_rmses=tuple(test_rmses),
         train_rmses=tuple(r["train_rmse"] for r in successes),
         chosen_params=tuple(r["params"] for r in successes),
-        average=float(np.mean(test_rmses)),
+        average=average,
         maximum=float(np.max(test_rmses)),
         minimum=float(np.min(test_rmses)),
-        stddev=float(np.std(test_rmses, ddof=1)) if len(test_rmses) > 1 else 0.0,
+        stddev=stddev,
         prediction_range=float(np.max(test_rmses) - np.min(test_rmses)),
         failures=failures,
         provenance=provenance,
         diagnostics=tuple(r.get("diagnostics", {}) for r in successes),
         best_iteration=best["iteration"],
-        best_parity=(best["measured"], best["predicted"]) if keep_best_predictions else None,
+        best_parity=(best["measured"], best["predicted"]),
     )
 
 
@@ -236,41 +230,40 @@ class SweepReport:
     rows: tuple  # dicts: fraction, mean/std of test and train rmse, counts
     reports: tuple
 
-    def __post_init__(self):
-        values = self.fractions
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ProtocolError("sweep fractions must be strictly increasing")
+
+def _training_fractions(values) -> list[float]:
+    values = [float(f) for f in values]
+    if not values:
+        raise ProtocolError("at least one training fraction is required")
+    if any(not 0.0 < f < 1.0 for f in values):
+        raise ProtocolError("training fractions must lie in (0, 1)")
+    return values
+
+
+def sweep_fractions(values) -> list[float]:
+    """The sweep's training fractions as floats: at least one, each inside
+    (0, 1), strictly increasing; anything else raises ``ProtocolError``."""
+    values = _training_fractions(values)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ProtocolError("sweep fractions must be strictly increasing")
+    return values
 
 
 def fraction_sweep(family: str, grid: HyperGrid, data: DesignMatrix,
-                   fractions_list, protocol: Protocol,
-                   keep_best_predictions: bool = False) -> SweepReport:
+                   fractions_list, protocol: Protocol) -> SweepReport:
     """Run the full protocol at each training fraction; test on the complement."""
-    fractions_list = [float(f) for f in fractions_list]
-    if not fractions_list:
-        raise ProtocolError("at least one sweep fraction is required")
-    if any(not 0.0 < f < 1.0 for f in fractions_list):
-        raise ProtocolError("sweep fractions must lie in (0, 1)")
+    fractions_list = sweep_fractions(fractions_list)
     rows = []
     reports = []
     for fraction in fractions_list:
-        sub_protocol = replace(protocol,
-                               fractions=Fractions(fraction, 1.0 - fraction, 0.0),
-                               test_complement=True)
-        report = run_evaluation(family, grid, data, sub_protocol,
-                                keep_best_predictions=keep_best_predictions)
+        sub_protocol = replace(protocol, fractions=Fractions(fraction, 1.0 - fraction, 0.0))
+        report = run_evaluation(family, grid, data, sub_protocol, complement=True)
         reports.append(report)
-        test = np.array(report.test_rmses)
-        train = np.array(report.train_rmses)
-        rows.append({
-            "fraction": fraction,
-            "mean_test_rmse": float(test.mean()),
-            "std_test_rmse": float(test.std(ddof=1)) if test.size > 1 else 0.0,
-            "mean_train_rmse": float(train.mean()),
-            "std_train_rmse": float(train.std(ddof=1)) if train.size > 1 else 0.0,
-            "n_iterations": int(test.size),
-            "n_failures": len(report.failures),
-        })
+        row = {"fraction": fraction, "n_iterations": len(report.test_rmses),
+               "n_failures": len(report.failures)}
+        row["mean_test_rmse"], row["std_test_rmse"] = _mean_std(report.test_rmses)
+        row["mean_train_rmse"], row["std_train_rmse"] = _mean_std(report.train_rmses)
+        rows.append(row)
     return SweepReport(family=family, fractions=tuple(fractions_list),
                        rows=tuple(rows), reports=tuple(reports))
 
@@ -296,13 +289,8 @@ def uq_trend_study(params: dict, data: DesignMatrix, fractions_list=None,
     ``params`` are ``bnn_ensemble`` registry parameters (epochs, n_draws and
     the network config, but no seed). Each replicate seeds its network and
     draws with its own seed."""
-    if fractions_list is None:
-        fractions_list = DEFAULT_TREND_FRACTIONS
-    fractions_list = [float(f) for f in fractions_list]
-    if not fractions_list:
-        raise ProtocolError("at least one fraction is required")
-    if any(not 0.0 < f < 1.0 for f in fractions_list):
-        raise ProtocolError("fractions must lie in (0, 1)")
+    fractions_list = _training_fractions(
+        DEFAULT_TREND_FRACTIONS if fractions_list is None else fractions_list)
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ProtocolError("at least one seed is required")
@@ -313,35 +301,22 @@ def uq_trend_study(params: dict, data: DesignMatrix, fractions_list=None,
     for fraction in fractions_list:
         replicates = []
         for seed in seeds:
-            plan = dual_mc_split(data.n_rows, Fractions(fraction, 1.0 - fraction, 0.0),
-                                 seed, 0)
-            train_idx = plan.train
-            test_idx = np.setdiff1d(np.arange(data.n_rows), train_idx)
-            train = data.take(train_idx)
-            test = data.take(test_idx)
-            scaler = fit_scaler(train, scaler_method)
+            train, test = split_rows(data, Fractions(fraction, 1.0 - fraction, 0.0), seed, 0,
+                                     complement=True)
+            train, test = scale_split(train, test, scaler_method)
             model = build_model("bnn_ensemble", params, seed=seed)
-            model.fit(apply_scaler(scaler, train))
-            means, decomposition = model.predict_decomposed(
-                apply_scaler(scaler, test).features)
+            model.fit(train)
+            means, decomposition = model.predict_decomposed(test.features)
             replicates.append({
                 "seed": seed,
                 "aleatoric": decomposition.aggregate_aleatoric,
                 "epistemic": decomposition.aggregate_epistemic,
                 "test_rmse": rmse(means, test.targets),
             })
-        aleatorics = np.array([r["aleatoric"] for r in replicates])
-        epistemics = np.array([r["epistemic"] for r in replicates])
-        rmses = np.array([r["test_rmse"] for r in replicates])
-        rows.append({
-            "fraction": fraction,
-            "replicates": replicates,
-            "mean_aleatoric": float(aleatorics.mean()),
-            "mean_epistemic": float(epistemics.mean()),
-            "mean_test_rmse": float(rmses.mean()),
-            "std_aleatoric": float(aleatorics.std(ddof=1)) if len(seeds) > 1 else 0.0,
-            "std_epistemic": float(epistemics.std(ddof=1)) if len(seeds) > 1 else 0.0,
-            "std_test_rmse": float(rmses.std(ddof=1)) if len(seeds) > 1 else 0.0,
-        })
+        row = {"fraction": fraction, "replicates": replicates}
+        for name in ("aleatoric", "epistemic", "test_rmse"):
+            row[f"mean_{name}"], row[f"std_{name}"] = _mean_std(
+                [r[name] for r in replicates])
+        rows.append(row)
     return UqTrendReport(fractions=tuple(fractions_list), seeds=tuple(seeds),
                          n_draws=model.params.n_draws, rows=tuple(rows))

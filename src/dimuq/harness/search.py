@@ -1,4 +1,5 @@
-"""Grid search scored by k-fold cross-validated negative RMSE.
+"""Grid search scored by k-fold cross-validated negative RMSE, and the one
+train-fitted scaling step every harness and CLI fit goes through.
 
 Every fold fits its own scaler on the fold's training rows before either
 side is transformed, so no validation statistic leaks into preprocessing.
@@ -56,27 +57,25 @@ class CvResult:
         return dict(self.candidates[self.chosen_index])
 
 
+def scale_split(train: DesignMatrix, test: DesignMatrix,
+                method: str) -> tuple[DesignMatrix, DesignMatrix]:
+    """Fit the scaler on ``train`` alone and return both sides scaled by it.
+
+    The only place ``fit_scaler`` and ``apply_scaler`` are called, so every
+    fit sees statistics of its own training rows and nothing else."""
+    scaler = fit_scaler(train, method)
+    return apply_scaler(scaler, train), apply_scaler(scaler, test)
+
+
 def grid_search(family: str, grid: HyperGrid, train: DesignMatrix, k: int,
-                seed: int, scaler_method: str = "zscore",
-                instrumentation=None) -> CvResult:
+                seed: int, scaler_method: str = "zscore") -> CvResult:
     """Mean negative RMSE across folds per candidate; first-wins on ties."""
     candidates = grid.candidates()
-    folds = kfold_indices(train.n_rows, k, seed)
     all_rows = np.arange(train.n_rows)
-    # the fold's scaler and scaled sides do not depend on the candidate
-    scaled_folds = []
-    for fold_id, validation in enumerate(folds):
-        training = np.setdiff1d(all_rows, validation)
-        if instrumentation is not None:
-            instrumentation("grid_fold", fold=fold_id, train_rows=training,
-                            validation_rows=validation)
-        fit_part = train.take(training)
-        val_part = train.take(validation)
-        scaler = fit_scaler(fit_part, scaler_method)
-        if instrumentation is not None:
-            instrumentation("grid_scaler_fit", rows=training)
-        scaled_folds.append((apply_scaler(scaler, fit_part),
-                             apply_scaler(scaler, val_part).features, val_part.targets))
+    # the fold's scaled sides do not depend on the candidate
+    scaled_folds = [scale_split(train.take(np.setdiff1d(all_rows, validation)),
+                                train.take(validation), scaler_method)
+                    for validation in kfold_indices(train.n_rows, k, seed)]
 
     mean_scores: list[float] = []
     fold_scores: list[tuple] = []
@@ -85,12 +84,12 @@ def grid_search(family: str, grid: HyperGrid, train: DesignMatrix, k: int,
     for candidate in candidates:
         scores = []
         failure = None
-        for fit_scaled, val_features, val_targets in scaled_folds:
+        for fit_scaled, val_scaled in scaled_folds:
             try:
                 model = build_model(family, candidate, seed=seed)
                 model.fit(fit_scaled)
-                predicted = model.predict(val_features)
-                scores.append(-rmse(predicted.values, val_targets))
+                predicted = model.predict(val_scaled.features)
+                scores.append(-rmse(predicted.values, val_scaled.targets))
             except DimuqError as exc:
                 failure = f"{type(exc).__name__}: {exc}"
                 first_failure = first_failure or exc

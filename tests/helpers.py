@@ -1,8 +1,10 @@
-"""Shared test utilities: finite differences and tiny hand-built matrices."""
+"""Shared test utilities: finite differences, tiny hand-built matrices and
+a record of what the harness scales."""
 
 import numpy as np
 
 from dimuq.data import DesignMatrix
+from dimuq.harness import search
 
 
 def central_difference(fun, x0, h=1e-6):
@@ -22,3 +24,43 @@ def matrix_from_arrays(features, targets) -> DesignMatrix:
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = tuple(f"x{i}" for i in range(features.shape[1]))
     return DesignMatrix(features=features, targets=targets, column_labels=labels)
+
+
+def record_scaling(monkeypatch) -> list:
+    """Wrap ``fit_scaler`` and ``apply_scaler`` where ``scale_split`` looks
+    them up, so every scaling in the harness and the CLI is appended to the
+    returned list as ``("fit" | "apply", matrix)`` in call order."""
+    calls = []
+    fit, apply = search.fit_scaler, search.apply_scaler
+
+    def recording_fit(matrix, method="zscore"):
+        calls.append(("fit", matrix))
+        return fit(matrix, method)
+
+    def recording_apply(state, matrix):
+        calls.append(("apply", matrix))
+        return apply(state, matrix)
+
+    monkeypatch.setattr(search, "fit_scaler", recording_fit)
+    monkeypatch.setattr(search, "apply_scaler", recording_apply)
+    return calls
+
+
+def scaled_splits(calls) -> list:
+    """``(train, test)`` per recorded scaler fit: the scaler is fitted on
+    ``train`` and applied to ``train``, then ``test``, and nothing else."""
+    assert [kind for kind, _ in calls] == ["fit", "apply", "apply"] * (len(calls) // 3)
+    splits = []
+    for start in range(0, len(calls), 3):
+        (_, fitted), (_, train), (_, test) = calls[start:start + 3]
+        assert train is fitted
+        splits.append((train, test))
+    return splits
+
+
+def row_ids(part: DesignMatrix, whole: DesignMatrix) -> np.ndarray:
+    """The rows of ``whole`` that ``part`` holds, in order, told apart by
+    their targets."""
+    index = {target: i for i, target in enumerate(whole.targets.tolist())}
+    assert len(index) == whole.n_rows, "the targets do not identify the rows"
+    return np.array([index[target] for target in part.targets.tolist()])

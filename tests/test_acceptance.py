@@ -227,9 +227,8 @@ class TestCriterion8Properties:
 
     def test_aleatoric_recovery_within_20_percent(self):
         with criterion(8, "known-noise aleatoric recovery within 20%"):
-            from test_bnn_models import scaled_fixture
-            train, test = scaled_fixture(2400, noise=0.05, seed=21)
-            network = train_head_model(train, HeadConfig(), epochs=4000, seed=5)
+            from test_bnn_models import known_noise_head_fit
+            network, test = known_noise_head_fit()
             estimate = float(network.predict_dist(test.features).stddevs.mean())
             print(f"  estimated noise: {estimate:.4f} (true 0.05)")
             assert abs(estimate - 0.05) / 0.05 <= 0.20

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -34,6 +35,15 @@ def scaled_fixture(n, noise, seed, train_fraction=0.8):
     test = data.take(plan.test)
     scaler = fit_scaler(train)
     return apply_scaler(scaler, train), apply_scaler(scaler, test)
+
+
+@functools.cache
+def known_noise_head_fit():
+    """The head network trained on a fixture of known noise 0.05, and that
+    fixture's test side. Training takes ~20 s, so the tests that check the
+    recovered noise share one fit per session."""
+    train, test = scaled_fixture(2400, noise=0.05, seed=21)
+    return train_head_model(train, HeadConfig(), epochs=4000, seed=5), test
 
 
 class TestElbo:
@@ -107,8 +117,7 @@ class TestHeadNetworkGradients:
 
 class TestTraining:
     def test_head_model_recovers_known_noise(self):
-        train, test = scaled_fixture(2400, noise=0.05, seed=21)
-        model = train_head_model(train, HeadConfig(), epochs=4000, seed=5)
+        model, test = known_noise_head_fit()
         dist = model.predict_dist(test.features)
         assert 0.04 <= float(dist.stddevs.mean()) <= 0.06
 

@@ -4,10 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dimuq import cli
+from dimuq import cli, synthetic_matrix
 from dimuq.cli import main
 from dimuq.data import generate_synthetic, write_csv
 from dimuq.errors import ConditioningError
+from dimuq.harness import Fractions, dual_mc_split
+
+from helpers import record_scaling, row_ids, scaled_splits
 
 
 @pytest.fixture()
@@ -189,6 +192,31 @@ class TestUq:
         csv_lines = (out / "uq_trend.csv").read_text().strip().split("\n")
         assert len(csv_lines) == 3
 
+    def test_every_scaler_fit_sees_only_its_draws_training_rows(self, tmp_path, monkeypatch):
+        calls = record_scaling(monkeypatch)
+        # 120 x 0.33 and 120 x 0.67 are not whole, so each draw leaves a row
+        # out of both train and test and the trend study's complement differs
+        # from the draw's test side
+        config = self.make_config(
+            tmp_path, draws=5, fractions=[0.33, 0.67], seeds=[0, 1], models=["gpr"],
+            gpr={"n_restarts": 0}, bnn_ensemble={"epochs": 5})
+        assert run_cli("uq", "--config", config, "--out", tmp_path / "out") == 0
+        data = synthetic_matrix(120, 0.05, 5)
+        # the trend study's replicates, then the parity run at protocol.seed
+        draws = [(fraction, seed, True) for fraction in (0.33, 0.67) for seed in (0, 1)]
+        draws.append((0.8, 7, False))
+        fits = scaled_splits(calls)
+        assert len(fits) == len(draws)
+        for (train, test), (fraction, seed, complement) in zip(fits, draws):
+            plan = dual_mc_split(120, Fractions(fraction, 1 - fraction, 0.0), seed, 0)
+            np.testing.assert_array_equal(row_ids(train, data), plan.train)
+            if complement:
+                assert plan.train.size + plan.test.size < 120
+                np.testing.assert_array_equal(row_ids(test, data),
+                                              np.setdiff1d(np.arange(120), plan.train))
+            else:
+                np.testing.assert_array_equal(row_ids(test, data), plan.test)
+
 
 class TestManifest:
     def test_run_id_stable_and_timestamp_only_in_manifest(self, tmp_path):
@@ -228,6 +256,27 @@ class TestPartialFailure:
         assert (out / "report_knn.json").exists()  # the good family still lands
         failures = read_json(out / "failures.json")
         assert failures and "knn" in failures[0]["family"]
+
+    def test_failed_sweep_family_flushes_partial_results(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "synthetic": {"n": 60, "noise_sigma": 0.05, "seed": 5},
+            "protocol": {"outer_iterations": 1, "inner_iterations": 1, "k": 3, "seed": 7},
+            "families": [
+                {"family": "knn", "grid": {"k": [4]}},
+                {"family": "knn", "grid": {"k": [30]}},  # too few rows at 0.5
+                {"family": "decision_tree", "grid": {"max_depth": [3]}},
+            ],
+            "sweep_fractions": [0.5, 0.9],
+        }))
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", config, "--out", out) == 3
+        assert (out / "sweep_knn.json").exists()  # the good family still lands
+        assert (out / "sweep_decision_tree.json").exists()  # and later ones run
+        assert (out / "manifest.json").exists()
+        [failure] = read_json(out / "failures.json")
+        assert failure["family"] == "knn"
+        assert failure["error"].startswith("ProtocolError: every iteration failed")
 
     def test_conditioning_failure_exits_4(self, tmp_path, monkeypatch):
         def ill_conditioned(family, *args, **kwargs):
@@ -353,6 +402,7 @@ class TestBadConfig:
         ("uq", {"uq.seeds": [1.5]}),
         ("evaluate", {"families": [{"family": "knnn"}, {"family": "knn", "grid": {"k": [1]}}]}),
         ("sweep", {"sweep_fractions": []}),
+        ("sweep", {"sweep_fractions": [0.8, 0.5, 0.3]}),
     ])
     def test_exits_3_and_writes_no_report(self, tmp_path, command, overrides):
         config = tmp_path / "config.json"

@@ -15,6 +15,7 @@ from dimuq.harness import (
     read_config,
     run_evaluation,
 )
+from dimuq.harness import evaluation
 from dimuq.metrics import rmse
 from dimuq.models import (
     ForestConfig,
@@ -24,6 +25,8 @@ from dimuq.models import (
     SvrConfig,
     TreeConfig,
 )
+
+from helpers import record_scaling, row_ids, scaled_splits
 
 
 class TestDualMcSplit:
@@ -166,20 +169,17 @@ class TestGridSearch:
         assert result.mean_scores[1] == -np.inf
         assert result.errors[1] is not None
 
-    def test_one_scaler_fit_per_fold_on_its_training_rows(self):
+    def test_one_scaler_fit_per_fold_on_its_training_rows(self, monkeypatch):
         data = synthetic_matrix(60, 0.05, seed=6)
-        events = []
-
-        def recorder(kind, **info):
-            events.append((kind, info))
-
-        grid_search("knn", HyperGrid("knn", {"k": [2, 3, 4]}), data, k=4, seed=0,
-                    instrumentation=recorder)
-        folds = [info for kind, info in events if kind == "grid_fold"]
-        fits = [info for kind, info in events if kind == "grid_scaler_fit"]
+        calls = record_scaling(monkeypatch)
+        grid_search("knn", HyperGrid("knn", {"k": [2, 3, 4]}), data, k=4, seed=0)
+        folds = kfold_indices(60, 4, seed=0)
+        fits = scaled_splits(calls)
         assert len(folds) == len(fits) == 4
-        for fold, fit in zip(folds, fits):
-            np.testing.assert_array_equal(fit["rows"], fold["train_rows"])
+        for validation, (train, test) in zip(folds, fits):
+            np.testing.assert_array_equal(row_ids(train, data),
+                                          np.setdiff1d(np.arange(60), validation))
+            np.testing.assert_array_equal(row_ids(test, data), validation)
 
     def test_all_candidates_failed_raises(self):
         data = synthetic_matrix(40, 0.05, seed=5)
@@ -219,28 +219,27 @@ class TestRunEvaluation:
         assert first.test_rmses == second.test_rmses
         assert first.train_rmses == second.train_rmses
 
-    def test_no_leakage_between_scaler_and_test_rows(self):
+    def test_no_leakage_between_scaler_and_test_rows(self, monkeypatch):
         data = synthetic_matrix(100, 0.05, seed=9)
         protocol = Protocol(outer_iterations=1, inner_iterations=2, seed=5)
-        events = []
-
-        def recorder(kind, **info):
-            events.append((kind, info))
-
-        run_evaluation("knn", HyperGrid("knn", {"k": [3]}), data, protocol,
-                       instrumentation=recorder)
-        scaler_fits = [e for e in events if e[0] == "scaler_fit"]
-        assert scaler_fits
-        for _, info in scaler_fits:
-            iteration = info["iteration"]
+        calls = record_scaling(monkeypatch)
+        run_evaluation("knn", HyperGrid("knn", {"k": [3]}), data, protocol)
+        # each iteration scales its k grid-search folds, then its own split
+        fits = scaled_splits(calls)
+        per_iteration = protocol.k + 1
+        assert len(fits) == 2 * per_iteration
+        for iteration in range(2):
             plan = dual_mc_split(100, protocol.fractions, protocol.seed, iteration)
-            np.testing.assert_array_equal(np.sort(info["rows"]), np.sort(plan.train))
-            assert not np.intersect1d(info["rows"], plan.test).size
-        # grid-search folds stay inside the iteration's training rows
-        fold_events = [e for e in events if e[0] == "grid_fold"]
-        assert fold_events
-        for _, info in fold_events:
-            assert not np.intersect1d(info["train_rows"], info["validation_rows"]).size
+            *folds, (train, test) = fits[iteration * per_iteration:
+                                         (iteration + 1) * per_iteration]
+            np.testing.assert_array_equal(row_ids(train, data), plan.train)
+            np.testing.assert_array_equal(row_ids(test, data), plan.test)
+            # grid-search folds stay inside the iteration's training rows
+            for fold_train, validation in folds:
+                fold_rows, validation_rows = row_ids(fold_train, data), row_ids(validation, data)
+                assert not np.intersect1d(fold_rows, validation_rows).size
+                assert np.isin(fold_rows, plan.train).all()
+                assert np.isin(validation_rows, plan.train).all()
 
     def test_failed_iterations_excluded_and_counted(self):
         data = synthetic_matrix(60, 0.05, seed=10)
@@ -284,12 +283,17 @@ class TestFractionSweep:
         low, high = report.rows[0], report.rows[1]
         assert high["mean_test_rmse"] <= low["mean_test_rmse"]
 
-    def test_fractions_must_increase(self):
+    def test_fractions_must_increase(self, monkeypatch):
+        def no_protocol_run(*args, **kwargs):
+            raise AssertionError("a protocol ran before the fractions were checked")
+
+        monkeypatch.setattr(evaluation, "run_evaluation", no_protocol_run)
         data = synthetic_matrix(60, 0.05, seed=14)
         protocol = Protocol(outer_iterations=1, inner_iterations=1, seed=0)
-        with pytest.raises(ProtocolError):
-            fraction_sweep("knn", HyperGrid("knn", {"k": [3]}), data,
-                           [0.8, 0.2], protocol)
+        for fractions in ([0.8, 0.2], [0.8, 0.5, 0.3], [0.5, 0.5]):
+            with pytest.raises(ProtocolError):
+                fraction_sweep("knn", HyperGrid("knn", {"k": [3]}), data,
+                               fractions, protocol)
 
     def test_out_of_range_fraction_rejected(self):
         data = synthetic_matrix(60, 0.05, seed=15)
