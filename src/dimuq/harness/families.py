@@ -164,16 +164,21 @@ class _EnsembleModelAdapter(_NetworkAdapter):
         return PredictiveDistribution(means=means, stddevs=decomposition.total)
 
 
+# family: (parameter dataclass, constructor, path axis). On a path axis a
+# fitted model's ``predict_path(features, values)`` gives, for every value
+# up to its own, what a fit at that value predicts, and every such value
+# fits wherever the model's own value does.
 _FAMILIES = {
-    "knn": (KnnConfig, KnnRegressor),
-    "decision_tree": (TreeConfig, DecisionTreeRegressor),
-    "random_forest": (ForestConfig, RandomForestRegressor),
-    "gbt": (GbtConfig, GradientBoostingRegressor),
-    "svr": (SvrConfig, SvrRegressor),
-    "mlp": (MlpConfig, MlpRegressor),
-    "gpr": (_GprParams, lambda p: GprRegressor(p, n_restarts=p.n_restarts, seed=p.seed)),
-    "bnn_head": (_HeadParams, _HeadModelAdapter),
-    "bnn_ensemble": (_EnsembleParams, _EnsembleModelAdapter),
+    "knn": (KnnConfig, KnnRegressor, "k"),
+    "decision_tree": (TreeConfig, DecisionTreeRegressor, "max_depth"),
+    "random_forest": (ForestConfig, RandomForestRegressor, None),
+    "gbt": (GbtConfig, GradientBoostingRegressor, None),
+    "svr": (SvrConfig, SvrRegressor, None),
+    "mlp": (MlpConfig, MlpRegressor, None),
+    "gpr": (_GprParams, lambda p: GprRegressor(p, n_restarts=p.n_restarts, seed=p.seed),
+            None),
+    "bnn_head": (_HeadParams, _HeadModelAdapter, None),
+    "bnn_ensemble": (_EnsembleParams, _EnsembleModelAdapter, None),
 }
 
 FAMILY_NAMES = tuple(_FAMILIES)
@@ -185,8 +190,15 @@ def build_model(family: str, params: dict, seed: int = 0):
     A bad key or value raises ConfigError."""
     if family not in _FAMILIES:
         raise ConfigError(f"unknown model family {family!r}; known: {sorted(_FAMILIES)}")
-    config_type, construct = _FAMILIES[family]
+    config_type, construct, _ = _FAMILIES[family]
     if family == "gbt" and "max_depth" in params and "max_leaf_nodes" not in params:
         # gbt only: a depth limit without a leaf budget turns the budget off
         params = {**params, "max_leaf_nodes": None}
     return construct(read_config(config_type, params, family, seed=seed))
+
+
+def path_axis(family: str) -> str | None:
+    """The grid axis along which one fit of ``family`` serves every smaller
+    value (``None`` counts as the largest), or None when it has none or is
+    not a family."""
+    return _FAMILIES.get(family, (None, None, None))[2]

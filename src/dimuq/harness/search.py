@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data import DesignMatrix, apply_scaler, fit_scaler
-from ..errors import ConfigError, DimuqError, SearchError
-from ..metrics import rmse
-from .families import build_model
+from ..errors import ConfigError, DimuqError, NumericError, SearchError
+from ..metrics import Prediction, rmse
+from .families import build_model, path_axis
 from .splits import kfold_indices
 
 
@@ -69,7 +69,15 @@ def scale_split(train: DesignMatrix, test: DesignMatrix,
 
 def grid_search(family: str, grid: HyperGrid, train: DesignMatrix, k: int,
                 seed: int, scaler_method: str = "zscore") -> CvResult:
-    """Mean negative RMSE across folds per candidate; first-wins on ties."""
+    """Mean negative RMSE across folds per candidate; first-wins on ties.
+
+    Candidates that agree on every axis but the family's path axis form one
+    path. Each fold fits a path once, at its largest value, and scores every
+    value from that fit's ``predict_path``; a family or grid without a path
+    axis has one-candidate paths. A candidate fails alone, with the error of
+    its own build, fit or prediction on its first failing fold, and the rest
+    of its path is still scored.
+    """
     candidates = grid.candidates()
     all_rows = np.arange(train.n_rows)
     # the fold's scaled sides do not depend on the candidate
@@ -77,37 +85,63 @@ def grid_search(family: str, grid: HyperGrid, train: DesignMatrix, k: int,
                                 train.take(validation), scaler_method)
                     for validation in kfold_indices(train.n_rows, k, seed)]
 
-    mean_scores: list[float] = []
-    fold_scores: list[tuple] = []
-    errors: list[str | None] = []
-    first_failure = None
-    for candidate in candidates:
-        scores = []
-        failure = None
-        for fit_scaled, val_scaled in scaled_folds:
-            try:
-                model = build_model(family, candidate, seed=seed)
-                model.fit(fit_scaled)
-                predicted = model.predict(val_scaled.features)
-                scores.append(-rmse(predicted.values, val_scaled.targets))
-            except DimuqError as exc:
-                failure = f"{type(exc).__name__}: {exc}"
-                first_failure = first_failure or exc
-                break
-        if failure is None:
-            mean_scores.append(float(np.mean(scores)))
-            fold_scores.append(tuple(scores))
-            errors.append(None)
+    axis = path_axis(family) if path_axis(family) in grid.axes else None
+    failures: list[DimuqError | None] = [None] * len(candidates)
+    values: list = [None] * len(candidates)
+    paths: list[tuple[dict, list[int]]] = []
+    for index, candidate in enumerate(candidates):
+        # built before it joins a path, so a bad value fails only its candidate
+        try:
+            model = build_model(family, candidate, seed=seed)
+        except DimuqError as exc:
+            failures[index] = exc
+            continue
+        others = {name: value for name, value in candidate.items() if name != axis}
+        path = next((path for shared, path in paths if axis and shared == others), None)
+        if path is None:
+            paths.append((others, [index]))
         else:
-            mean_scores.append(-np.inf)
-            fold_scores.append(())
-            errors.append(failure)
+            path.append(index)
+        if axis:
+            values[index] = getattr(model.config, axis)
 
+    scores: list[list[float]] = [[] for _ in candidates]
+    for fit_scaled, val_scaled in scaled_folds:
+        for _, path in paths:
+            # largest first, None above every number; a top that fails (k
+            # above the fold's rows) drops out and the next one is fitted
+            live = sorted((i for i in path if failures[i] is None), reverse=True,
+                          key=lambda i: (values[i] is None, values[i] or 0))
+            outputs = []
+            while live:
+                try:
+                    model = build_model(family, candidates[live[0]], seed=seed)
+                    model.fit(fit_scaled)
+                    outputs = (model.predict_path(val_scaled.features,
+                                                  [values[i] for i in live])
+                               if axis else [model.predict(val_scaled.features).values])
+                    break
+                except DimuqError as exc:
+                    failures[live.pop(0)] = exc
+            for index, output in zip(live, outputs):
+                try:
+                    score = -rmse(Prediction(output).values, val_scaled.targets)
+                    if not np.isfinite(score):
+                        raise NumericError("the fold's validation RMSE overflowed")
+                    scores[index].append(score)
+                except DimuqError as exc:
+                    failures[index] = exc
+
+    errors = [None if exc is None else f"{type(exc).__name__}: {exc}" for exc in failures]
+    mean_scores = [-np.inf if exc is not None else float(np.mean(fold))
+                   for exc, fold in zip(failures, scores)]
     if not np.isfinite(np.max(mean_scores)):
         raise SearchError(
             f"every candidate failed; first error: {next(e for e in errors if e)}"
-        ) from first_failure
+        ) from next((exc for exc in failures if exc is not None), None)
     chosen = int(np.argmax(mean_scores))
     return CvResult(family=family, candidates=tuple(candidates),
-                    mean_scores=tuple(mean_scores), fold_scores=tuple(fold_scores),
+                    mean_scores=tuple(mean_scores),
+                    fold_scores=tuple(() if exc is not None else tuple(fold)
+                                      for exc, fold in zip(failures, scores)),
                     chosen_index=chosen, errors=tuple(errors))

@@ -43,11 +43,19 @@ class KnnRegressor(Regressor):
         return self
 
     def predict(self, features) -> Prediction:
+        return Prediction(self.predict_path(features, [self.config.k])[0])
+
+    def predict_path(self, features, ks) -> list[np.ndarray]:
+        """Raw predictions for each ``k`` in ``ks``: one distance pass and one
+        stable ranking, whose first ``k`` columns are the ``k`` nearest rows,
+        so each equals a fit at that ``k``."""
         if self._X is None:
             raise ConfigError("predict before fit")
+        for k in ks:
+            if k > self._y.size:
+                raise ConfigError(f"k={k} exceeds {self._y.size} training rows")
         queries = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        k = self.config.k
-        out = np.empty(queries.shape[0])
+        outs = [np.empty(queries.shape[0]) for _ in ks]
         # chunked so the (q, n, d) difference tensor stays small
         chunk = max(1, int(4e6 // max(1, self._X.size)))
         for start in range(0, queries.shape[0], chunk):
@@ -57,6 +65,7 @@ class KnnRegressor(Regressor):
                 dists = np.sqrt((diff ** 2).sum(axis=2))
             else:
                 dists = np.abs(diff).sum(axis=2)
-            nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
-            out[start:start + block.shape[0]] = self._y[nearest].mean(axis=1)
-        return Prediction(out)
+            ranking = np.argsort(dists, axis=1, kind="stable")
+            for k, out in zip(ks, outs):
+                out[start:start + block.shape[0]] = self._y[ranking[:, :k]].mean(axis=1)
+        return outs

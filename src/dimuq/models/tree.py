@@ -12,7 +12,11 @@ the rows in different orders, so either may win. A depth-4 tree on
 (``feature_category=outer``), not on its complement, column 14.
 
 Growth is either depth-limited, splitting nodes in pre-order, or best-first
-up to a leaf budget (the boosting machine's). Absolute-error split search
+up to a leaf budget (the boosting machine's). Depth-limited growth reads
+``max_depth`` only to stop, and every internal node keeps its own leaf
+value, so ``predict_tree`` with a depth cut ``d`` on a deeper tree predicts
+bit for bit what the tree grown to depth ``d`` does; grid search scores a
+whole ``max_depth`` path from one fit. Absolute-error split search
 caps the candidate thresholds per feature at 128 evenly spread positions
 once a node exceeds that many distinct values; small nodes are searched
 exhaustively.
@@ -178,20 +182,22 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str = "squared_error",
     return root
 
 
-def predict_tree(root: _Node, X: np.ndarray) -> np.ndarray:
+def predict_tree(root: _Node, X: np.ndarray, max_depth: int | None = None) -> np.ndarray:
+    """Leaf values for the rows of ``X``; ``max_depth`` cuts the tree, so
+    nodes at that depth answer with their own value."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     out = np.empty(X.shape[0])
-    stack = [(root, np.arange(X.shape[0]))]
+    stack = [(root, np.arange(X.shape[0]), 0)]
     while stack:
-        node, idx = stack.pop()
+        node, idx, depth = stack.pop()
         if idx.size == 0:
             continue
-        if node.is_leaf:
+        if node.is_leaf or depth == max_depth:
             out[idx] = node.value
         else:
             mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
+            stack.append((node.left, idx[mask], depth + 1))
+            stack.append((node.right, idx[~mask], depth + 1))
     return out
 
 
@@ -210,6 +216,15 @@ class DecisionTreeRegressor(Regressor):
         return self
 
     def predict(self, features) -> Prediction:
+        return Prediction(self.predict_path(features, [self.config.max_depth])[0])
+
+    def predict_path(self, features, depths) -> list[np.ndarray]:
+        """Raw predictions of the tree cut at each of ``depths``, none deeper
+        than the fitted ``max_depth`` (``None`` is unlimited)."""
         if self._root is None:
             raise ConfigError("predict before fit")
-        return Prediction(predict_tree(self._root, features))
+        limit = self.config.max_depth
+        for depth in depths:
+            if limit is not None and (depth is None or depth > limit):
+                raise ConfigError(f"max_depth={depth} is deeper than the fitted {limit}")
+        return [predict_tree(self._root, features, depth) for depth in depths]

@@ -342,6 +342,9 @@ class TestPartialFailure:
         ("knn", {"k": [6.0]}),
         ("mlp", {"learning_rate": ["0.1"]}),
         ("gbt", {"n_estimators": [2.0]}),
+        # on a path axis, and beside one: built before any path forms
+        ("knn", {"k": [6], "metric": [["euclidean"]]}),
+        ("decision_tree", {"max_depth": ["4"]}),
     ])
     def test_grid_value_of_the_wrong_json_type_exits_3(self, tmp_path, family, grid,
                                                         workers):

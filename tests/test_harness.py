@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dimuq import synthetic_matrix
-from dimuq.errors import ConfigError, ProtocolError, SearchError
+from dimuq.errors import ConfigError, NumericError, ProtocolError, SearchError
 from dimuq.harness import (
     Fractions,
     HyperGrid,
@@ -15,18 +15,17 @@ from dimuq.harness import (
     read_config,
     run_evaluation,
 )
-from dimuq.harness import evaluation
+from dimuq.harness import build_model, evaluation
 from dimuq.metrics import rmse
 from dimuq.models import (
     ForestConfig,
     KnnConfig,
-    KnnRegressor,
     MlpConfig,
     SvrConfig,
     TreeConfig,
 )
 
-from helpers import record_scaling, row_ids, scaled_splits
+from helpers import matrix_from_arrays, record_scaling, row_ids, scaled_splits
 
 
 class TestDualMcSplit:
@@ -129,31 +128,38 @@ class TestGridSearch:
         result = grid_search("knn", HyperGrid("knn", {"k": [3]}), data, k=4, seed=0)
         assert result.chosen_params == {"k": 3}
 
-    def test_selection_confirmed_by_exhaustive_reevaluation(self):
+    @pytest.mark.parametrize("family, axes", [
+        # metric first, so each metric's k path is interleaved with nothing;
+        # k=1 twice, so the path holds a duplicate and ties go to the first
+        ("knn", {"metric": ["euclidean", "manhattan"], "k": [1, 40, 6, 1]}),
+        ("decision_tree", {"max_depth": [4, None, 8], "min_samples_leaf": [5, 1]}),
+        ("decision_tree", {"max_depth": [4, 8, 12], "min_samples_leaf": [1, 5]}),
+    ], ids=["knn", "decision_tree", "sweep_tree"])
+    def test_selection_confirmed_by_exhaustive_reevaluation(self, family, axes):
         data = synthetic_matrix(90, 0.08, seed=2)
-        # one nearest neighbor vs most of a fold's training rows
-        grid = HyperGrid("knn", {"k": [1, 40]})
-        result = grid_search("knn", grid, data, k=3, seed=5)
-        # oracle: re-run the same fold evaluation by hand for both candidates
+        grid = HyperGrid(family, axes)
+        result = grid_search(family, grid, data, k=3, seed=5)
+        # oracle: fit every candidate on every fold by hand, one at a time
         from dimuq.data import apply_scaler, fit_scaler
         folds = kfold_indices(data.n_rows, 3, seed=5)
         all_rows = np.arange(data.n_rows)
-        scores = []
+        fold_scores = []
         for candidate in grid.candidates():
-            fold_scores = []
+            scores = []
             for validation in folds:
-                training = np.setdiff1d(all_rows, validation)
-                fit_part = data.take(training)
+                fit_part = data.take(np.setdiff1d(all_rows, validation))
                 scaler = fit_scaler(fit_part, "zscore")
-                model = KnnRegressor(KnnConfig(**candidate)).fit(
-                    apply_scaler(scaler, fit_part))
-                predicted = model.predict(
-                    apply_scaler(scaler, data.take(validation)).features)
-                fold_scores.append(-rmse(predicted.values,
-                                         data.take(validation).targets))
-            scores.append(np.mean(fold_scores))
-        assert result.chosen_index == int(np.argmax(scores))
-        np.testing.assert_allclose(result.mean_scores, scores, rtol=1e-12)
+                model = build_model(family, candidate, seed=5)
+                model.fit(apply_scaler(scaler, fit_part))
+                held_out = apply_scaler(scaler, data.take(validation))
+                predicted = model.predict(held_out.features)
+                scores.append(-rmse(predicted.values, held_out.targets))
+            fold_scores.append(tuple(scores))
+        mean_scores = [float(np.mean(scores)) for scores in fold_scores]
+        assert result.fold_scores == tuple(fold_scores)
+        assert result.mean_scores == tuple(mean_scores)
+        assert result.chosen_index == int(np.argmax(mean_scores))
+        assert result.errors == (None,) * len(fold_scores)
 
     def test_tie_breaks_to_first_candidate(self):
         data = synthetic_matrix(60, 0.05, seed=3)
@@ -163,11 +169,32 @@ class TestGridSearch:
 
     def test_failed_candidate_marked_not_fatal(self):
         data = synthetic_matrix(40, 0.05, seed=4)
-        grid = HyperGrid("knn", {"k": [3, 4000]})  # second k exceeds fold size
-        result = grid_search("knn", grid, data, k=4, seed=0)
-        assert result.chosen_params == {"k": 3}
-        assert result.mean_scores[1] == -np.inf
-        assert result.errors[1] is not None
+        alone = {k: grid_search("knn", HyperGrid("knn", {"k": [k]}), data, k=4, seed=0)
+                 for k in (3, 5)}
+        # k=4000 exceeds the 30 rows of every fold: at the path's end, then
+        # mid-path with a scored neighbour on each side
+        for ks in ([3, 4000], [3, 4000, 5]):
+            result = grid_search("knn", HyperGrid("knn", {"k": ks}), data, k=4, seed=0)
+            assert result.mean_scores[1] == -np.inf
+            assert result.fold_scores[1] == ()
+            assert result.errors[1] == "ConfigError: k=4000 exceeds 30 training rows"
+            for index, k in enumerate(ks):
+                if k != 4000:
+                    assert result.errors[index] is None
+                    assert result.mean_scores[index] == alone[k].mean_scores[0]
+                    assert result.fold_scores[index] == alone[k].fold_scores[0]
+            best = max((k for k in ks if k != 4000), key=lambda k: alone[k].mean_scores[0])
+            assert result.chosen_params == {"k": best}
+
+    def test_overflowing_fold_score_fails_the_candidate(self):
+        # finite predictions whose squared errors overflow to inf
+        data = synthetic_matrix(40, 0.05, seed=4)
+        huge = matrix_from_arrays(data.features, data.targets * 1e300)
+        with np.errstate(over="ignore"), pytest.raises(SearchError) as raised:
+            grid_search("knn", HyperGrid("knn", {"k": [3, 5]}), huge, k=4, seed=0)
+        assert str(raised.value) == ("every candidate failed; first error: "
+                                     "NumericError: the fold's validation RMSE overflowed")
+        assert isinstance(raised.value.__cause__, NumericError)
 
     def test_one_scaler_fit_per_fold_on_its_training_rows(self, monkeypatch):
         data = synthetic_matrix(60, 0.05, seed=6)

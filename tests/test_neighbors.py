@@ -67,3 +67,22 @@ class TestKnn:
             KnnConfig(k=0)
         with pytest.raises(ConfigError):
             KnnConfig(metric="cosine")
+
+    def test_path_equals_single_k_fits_bitwise(self):
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 3, size=(12, 2)).astype(np.float64)
+        X = np.vstack([X, X[:5]])  # duplicated rows, so distances tie
+        y = rng.normal(size=X.shape[0])
+        train = matrix_from_arrays(X, y)
+        queries = np.vstack([X, rng.integers(0, 3, size=(6, 2))])
+        for metric in ("euclidean", "manhattan"):
+            path = KnnRegressor(KnnConfig(k=7, metric=metric)).fit(train).predict_path(
+                queries, [1, 4, 7])
+            for k, got in zip([1, 4, 7], path):
+                alone = KnnRegressor(KnnConfig(k=k, metric=metric)).fit(train)
+                assert got.tobytes() == alone.predict(queries).values.tobytes()
+
+    def test_path_k_larger_than_n_rejected(self):
+        model = KnnRegressor(KnnConfig(k=1)).fit(matrix_from_arrays([[0.0], [1.0]], [0.0, 1.0]))
+        with pytest.raises(ConfigError, match="k=3 exceeds 2 training rows"):
+            model.predict_path([[0.5]], [1, 3])

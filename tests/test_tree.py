@@ -186,3 +186,26 @@ def test_predictions_match_pinned_bits(model):
                     "leaf_budget": dict(max_leaf_nodes=12)}[model]
         predicted = predict_tree(grow_tree(X, y, **settings), queries)
     assert [float(v).hex() for v in predicted] == PINNED_PREDICTIONS[model]
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 5])
+def test_depth_cut_equals_tree_grown_to_that_depth(min_samples_leaf):
+    queries = synthetic_matrix(40, 0.05, 31).features
+    for seed in (3, 11, 19):
+        train = synthetic_matrix(200, 0.05, seed)
+        X, y = train.features, train.targets
+        deep = grow_tree(X, y, max_depth=None, min_samples_leaf=min_samples_leaf)
+        for depth in range(1, 13):
+            grown = grow_tree(X, y, max_depth=depth, min_samples_leaf=min_samples_leaf)
+            for rows in (X, queries):
+                assert [float(v).hex() for v in predict_tree(deep, rows, depth)] \
+                    == [float(v).hex() for v in predict_tree(grown, rows)]
+
+
+def test_depth_path_rejects_depths_beyond_the_fit():
+    model = DecisionTreeRegressor(TreeConfig(max_depth=4)).fit(synthetic_matrix(60, 0.05, 3))
+    queries = synthetic_matrix(5, 0.05, 4).features
+    assert len(model.predict_path(queries, [4, 2, 1])) == 3
+    for depth in (5, None):
+        with pytest.raises(ConfigError, match="deeper than the fitted 4"):
+            model.predict_path(queries, [depth])
