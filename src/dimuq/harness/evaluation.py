@@ -2,9 +2,10 @@
 
 Every (outer, inner) iteration draws a fresh train/test partition, re-runs
 hyperparameter search on the training side only, fits the tuned model, and
-scores the held-out side. Aggregates are computed from the per-iteration
-RMSE list after sorting by iteration id, so parallel execution cannot change
-any reported number.
+scores the held-out side. A grid with one candidate has nothing to search:
+every iteration fits that candidate. Aggregates are computed from the
+per-iteration RMSE list after sorting by iteration id, so parallel execution
+cannot change any reported number.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 # scale_split, where the same functions are wrapped.
 from ..bnn import ensemble_predict, train_ensemble_model
 from ..data import DesignMatrix, apply_scaler, fit_scaler
-from ..errors import DimuqError, ProtocolError, numeric_cause
+from ..errors import DimuqError, NumericError, ProtocolError, numeric_cause
 from ..metrics import rmse
 from .families import build_model, matches
 from .search import HyperGrid, grid_search, scale_split
@@ -124,10 +125,13 @@ def _run_iteration(family, grid, data, protocol, iteration, fixed_params, comple
     model.fit(train)
     train_pred = model.predict(train.features).values
     test_pred = model.predict(test.features).values
+    test_rmse, train_rmse = rmse(test_pred, test.targets), rmse(train_pred, train.targets)
+    if not (np.isfinite(test_rmse) and np.isfinite(train_rmse)):
+        raise NumericError("the iteration's RMSE overflowed")
     return {
         "iteration": iteration,
-        "test_rmse": rmse(test_pred, test.targets),
-        "train_rmse": rmse(train_pred, train.targets),
+        "test_rmse": test_rmse,
+        "train_rmse": train_rmse,
         "params": params,
         "diagnostics": model.diagnostics(),
         "measured": test.targets,
@@ -152,8 +156,14 @@ def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
     if data.n_rows == 0:
         raise ProtocolError("dataset is empty")
 
+    candidates = grid.candidates()
     fixed_by_outer: dict[int, dict] = {}
-    if protocol.grid_mode == "per_outer":
+    if len(candidates) == 1:
+        # nothing to choose: every iteration fits the one candidate, built
+        # here first so that a bad value fails before any model trains
+        build_model(family, candidates[0])
+        fixed_by_outer = dict.fromkeys(range(protocol.outer_iterations), candidates[0])
+    elif protocol.grid_mode == "per_outer":
         for outer in range(protocol.outer_iterations):
             iteration = outer * protocol.inner_iterations
             train, _ = split_rows(data, protocol.fractions, protocol.seed, iteration,

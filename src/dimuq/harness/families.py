@@ -96,6 +96,11 @@ class _HeadParams(HeadConfig):
     epochs: int = DEFAULT_HEAD_EPOCHS
     seed: int = 0
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+
 
 @dataclass(frozen=True)
 class _EnsembleParams(EnsembleConfig):
@@ -105,6 +110,8 @@ class _EnsembleParams(EnsembleConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
         if self.n_draws < 2:
             raise ConfigError("n_draws must be >= 2")
 

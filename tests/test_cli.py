@@ -8,7 +8,7 @@ from dimuq import cli, synthetic_matrix
 from dimuq.cli import main
 from dimuq.data import generate_synthetic, write_csv
 from dimuq.errors import ConditioningError
-from dimuq.harness import Fractions, dual_mc_split
+from dimuq.harness import Fractions, dual_mc_split, evaluation
 
 from helpers import record_scaling, row_ids, scaled_splits
 
@@ -238,6 +238,25 @@ class TestManifest:
         assert stripped1 == stripped2
 
 
+def no_iterations(monkeypatch):
+    """Make any protocol iteration or worker pool fail the test."""
+    def started(*args, **kwargs):
+        raise AssertionError("a protocol iteration started")
+
+    monkeypatch.setattr(evaluation, "_run_iteration", started)
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", started)
+
+
+WRONG_JSON_TYPES = [
+    ("knn", {"k": [6.0]}),
+    ("mlp", {"learning_rate": ["0.1"]}),
+    ("gbt", {"n_estimators": [2.0]}),
+    # on a path axis, and beside one
+    ("knn", {"k": [6], "metric": [["euclidean"]]}),
+    ("decision_tree", {"max_depth": ["4"]}),
+]
+
+
 class TestPartialFailure:
     def test_failed_family_flushes_partial_results(self, tmp_path):
         config = tmp_path / "config.json"
@@ -247,7 +266,7 @@ class TestPartialFailure:
                          "fractions": [0.8, 0.2, 0.0], "k": 3, "seed": 7},
             "families": [
                 {"family": "knn", "grid": {"k": [4]}},
-                {"family": "knn", "grid": {"k": [5000]}},  # cannot fit any fold
+                {"family": "knn", "grid": {"k": [5000]}},  # above every training side
             ],
         }))
         out = tmp_path / "out"
@@ -264,7 +283,7 @@ class TestPartialFailure:
             "protocol": {"outer_iterations": 1, "inner_iterations": 1, "k": 3, "seed": 7},
             "families": [
                 {"family": "knn", "grid": {"k": [4]}},
-                {"family": "knn", "grid": {"k": [30]}},  # too few rows at 0.5
+                {"family": "knn", "grid": {"k": [31]}},  # above the 30 training rows at 0.5
                 {"family": "decision_tree", "grid": {"max_depth": [3]}},
             ],
             "sweep_fractions": [0.5, 0.9],
@@ -297,57 +316,10 @@ class TestPartialFailure:
             "error": "ConditioningError: kernel matrix is not positive definite",
         }]
 
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_iteration_diverging_exits_4(self, tmp_path, workers):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "synthetic": {"n": 60, "noise_sigma": 0.05, "seed": 5},
-            "protocol": {"outer_iterations": 1, "inner_iterations": 2,
-                         "fractions": [0.8, 0.2, 0.0], "k": 2, "seed": 7,
-                         "workers": workers},
-            "families": [{"family": "bnn_head",
-                          "grid": {"learning_rate": [1e300], "epochs": [3]}}],
-        }))
-        out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            code = run_cli("evaluate", "--config", config, "--out", out)
-        assert code == cli.EXIT_NUMERIC
-        [failure] = read_json(out / "failures.json")
-        assert failure["error"].startswith(
-            "ProtocolError: every iteration failed; first error: SearchError: "
-            "every candidate failed; first error: TrainingError: ")
-
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_wrong_typed_grid_value_exits_3(self, tmp_path, workers):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "synthetic": {"n": 60, "noise_sigma": 0.05, "seed": 5},
-            "protocol": {"outer_iterations": 1, "inner_iterations": 2,
-                         "fractions": [0.8, 0.2, 0.0], "k": 2, "seed": 7,
-                         "workers": workers},
-            "families": [{"family": "knn", "grid": {"k": ["6"]}}],
-        }))
-        out = tmp_path / "out"
-        assert run_cli("evaluate", "--config", config, "--out", out) == 3
-        [failure] = read_json(out / "failures.json")
-        assert failure["error"].startswith(
-            "ProtocolError: every iteration failed; first error: SearchError: "
-            "every candidate failed; first error: ConfigError: bad knn parameters")
-
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("family, grid", [
-        ("knn", {"k": [6.0]}),
-        ("mlp", {"learning_rate": ["0.1"]}),
-        ("gbt", {"n_estimators": [2.0]}),
-        # on a path axis, and beside one: built before any path forms
-        ("knn", {"k": [6], "metric": [["euclidean"]]}),
-        ("decision_tree", {"max_depth": ["4"]}),
-    ])
-    def test_grid_value_of_the_wrong_json_type_exits_3(self, tmp_path, family, grid,
-                                                        workers):
+    @staticmethod
+    def failure(tmp_path, workers, family, grid, code=3) -> str:
+        """The error of a one-family evaluate that must exit ``code`` and
+        write no report."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "synthetic": {"n": 60, "noise_sigma": 0.05, "seed": 5},
@@ -357,10 +329,63 @@ class TestPartialFailure:
             "families": [{"family": family, "grid": grid}],
         }))
         out = tmp_path / "out"
-        assert run_cli("evaluate", "--config", config, "--out", out) == 3
+        with np.errstate(all="ignore"):
+            assert run_cli("evaluate", "--config", config, "--out", out) == code
         assert not (out / f"report_{family}.json").exists()
         [failure] = read_json(out / "failures.json")
-        assert failure["error"].startswith(
+        return failure["error"]
+
+    # A one-candidate grid is not searched: each iteration's own fit fails.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_iteration_diverging_exits_4(self, tmp_path, workers):
+        assert self.failure(tmp_path, workers, "bnn_head",
+                            {"learning_rate": [1e300], "epochs": [3]},
+                            code=cli.EXIT_NUMERIC).startswith(
+            "ProtocolError: every iteration failed; first error: TrainingError: ")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_candidate_diverging_exits_4(self, tmp_path, workers):
+        assert self.failure(tmp_path, workers, "bnn_head",
+                            {"learning_rate": [1e300], "epochs": [3, 4]},
+                            code=cli.EXIT_NUMERIC).startswith(
+            "ProtocolError: every iteration failed; first error: SearchError: "
+            "every candidate failed; first error: TrainingError: ")
+
+    # A bad one-candidate value fails at its up-front build, before any
+    # iteration runs; with two bad candidates every search fails.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wrong_typed_grid_value_exits_3(self, tmp_path, monkeypatch, workers):
+        no_iterations(monkeypatch)
+        assert self.failure(tmp_path, workers, "knn", {"k": ["6"]}).startswith(
+            "ConfigError: bad knn parameters")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_two_wrong_typed_grid_values_exit_3(self, tmp_path, workers):
+        assert self.failure(tmp_path, workers, "knn", {"k": ["6", "7"]}).startswith(
+            "ProtocolError: every iteration failed; first error: SearchError: "
+            "every candidate failed; first error: ConfigError: bad knn parameters")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_epochs_exits_3_before_training(self, tmp_path, monkeypatch, workers):
+        no_iterations(monkeypatch)
+        assert self.failure(tmp_path, workers, "bnn_head", {"epochs": [0]}) == (
+            "ConfigError: epochs must be >= 1")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("family, grid", WRONG_JSON_TYPES)
+    def test_grid_value_of_the_wrong_json_type_exits_3(self, tmp_path, monkeypatch, family,
+                                                        grid, workers):
+        no_iterations(monkeypatch)
+        assert self.failure(tmp_path, workers, family, grid).startswith(
+            f"ConfigError: bad {family} parameters")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("family, grid", WRONG_JSON_TYPES)
+    def test_two_grid_values_of_the_wrong_json_type_exit_3(self, tmp_path, family, grid,
+                                                            workers):
+        first = next(iter(grid))
+        grid = {**grid, first: grid[first] * 2}  # two candidates, both bad
+        assert self.failure(tmp_path, workers, family, grid).startswith(
             "ProtocolError: every iteration failed; first error: SearchError: "
             f"every candidate failed; first error: ConfigError: bad {family} parameters")
 
@@ -426,6 +451,7 @@ class TestBadUqParams:
         {"models": ["bnn_ensemble"], "bnn_ensemble": {"seed": 3}},
         {"models": ["gpr"], "gpr": {"seed": 3}},
         {"models": ["bnn_ensemble"], "draws": 1},
+        {"models": ["bnn_head"], "bnn_head": {"epochs": 0}},
     ])
     def test_bad_model_block_exits_3_before_training(self, tmp_path, uq):
         config = tmp_path / "config.json"

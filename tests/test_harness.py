@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dimuq import synthetic_matrix
-from dimuq.errors import ConfigError, NumericError, ProtocolError, SearchError
+from dimuq.errors import (ConfigError, NumericError, ProtocolError, SearchError,
+                          numeric_cause)
 from dimuq.harness import (
     Fractions,
     HyperGrid,
@@ -14,8 +15,10 @@ from dimuq.harness import (
     kfold_indices,
     read_config,
     run_evaluation,
+    scale_split,
+    split_rows,
 )
-from dimuq.harness import build_model, evaluation
+from dimuq.harness import build_model, evaluation, search
 from dimuq.metrics import rmse
 from dimuq.models import (
     ForestConfig,
@@ -250,7 +253,7 @@ class TestRunEvaluation:
         data = synthetic_matrix(100, 0.05, seed=9)
         protocol = Protocol(outer_iterations=1, inner_iterations=2, seed=5)
         calls = record_scaling(monkeypatch)
-        run_evaluation("knn", HyperGrid("knn", {"k": [3]}), data, protocol)
+        run_evaluation("knn", HyperGrid("knn", {"k": [3, 4]}), data, protocol)
         # each iteration scales its k grid-search folds, then its own split
         fits = scaled_splits(calls)
         per_iteration = protocol.k + 1
@@ -267,6 +270,81 @@ class TestRunEvaluation:
                 assert not np.intersect1d(fold_rows, validation_rows).size
                 assert np.isin(fold_rows, plan.train).all()
                 assert np.isin(validation_rows, plan.train).all()
+
+    @pytest.mark.parametrize("grid_mode", ["per_inner", "per_outer"])
+    def test_one_candidate_scales_only_the_iterations_own_split(self, monkeypatch,
+                                                                 grid_mode):
+        data = synthetic_matrix(100, 0.05, seed=9)
+        protocol = Protocol(outer_iterations=1, inner_iterations=2, seed=5,
+                            grid_mode=grid_mode)
+        calls = record_scaling(monkeypatch)
+        run_evaluation("knn", HyperGrid("knn", {"k": [3]}), data, protocol)
+        fits = scaled_splits(calls)
+        assert len(fits) == 2
+        for iteration, (train, test) in enumerate(fits):
+            plan = dual_mc_split(100, protocol.fractions, protocol.seed, iteration)
+            np.testing.assert_array_equal(row_ids(train, data), plan.train)
+            np.testing.assert_array_equal(row_ids(test, data), plan.test)
+
+    def test_one_candidate_fits_once_per_iteration_and_a_bad_one_never(self, monkeypatch):
+        fits = []
+
+        def counting(build):
+            def counted_build(family, params, seed=0):
+                model = build(family, params, seed=seed)
+                fit = model.fit
+
+                def counted_fit(matrix):
+                    fits.append((family, matrix.n_rows))
+                    return fit(matrix)
+
+                model.fit = counted_fit
+                return model
+            return counted_build
+
+        for module in (evaluation, search):
+            monkeypatch.setattr(module, "build_model", counting(module.build_model))
+        data = synthetic_matrix(100, 0.05, seed=9)
+        protocol = Protocol(outer_iterations=2, inner_iterations=2, seed=5)
+        run_evaluation("decision_tree", HyperGrid("decision_tree", {"max_depth": [3]}),
+                       data, protocol)
+        assert fits == [("decision_tree", 80)] * 4  # no fold fit
+        del fits[:]
+        with pytest.raises(ConfigError):
+            run_evaluation("knn", HyperGrid("knn", {"k": ["3"]}), data, protocol)
+        assert fits == []
+
+    def test_one_candidate_matches_a_hand_rolled_loop(self):
+        data = synthetic_matrix(100, 0.05, seed=9)
+        protocol = Protocol(outer_iterations=2, inner_iterations=2, seed=5)
+        params = {"n_estimators": 3, "max_features": 4}
+        report = run_evaluation(
+            "random_forest", HyperGrid("random_forest", {k: [v] for k, v in params.items()}),
+            data, protocol)
+        test_rmses, train_rmses = [], []
+        for iteration in range(4):
+            train, test = split_rows(data, protocol.fractions, protocol.seed, iteration)
+            train, test = scale_split(train, test, protocol.scaler_method)
+            seed = int(np.random.SeedSequence([protocol.seed, iteration]).generate_state(1)[0])
+            model = build_model("random_forest", params, seed=seed).fit(train)
+            test_rmses.append(rmse(model.predict(test.features).values, test.targets))
+            train_rmses.append(rmse(model.predict(train.features).values, train.targets))
+        assert [x.hex() for x in report.test_rmses] == [x.hex() for x in test_rmses]
+        assert [x.hex() for x in report.train_rmses] == [x.hex() for x in train_rmses]
+        assert report.chosen_params == (params,) * 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_iteration_rmse_fails_as_numeric(self, workers):
+        # finite predictions whose squared errors overflow to inf
+        data = synthetic_matrix(40, 0.05, seed=4)
+        huge = matrix_from_arrays(data.features, data.targets * 1e300)
+        protocol = Protocol(outer_iterations=1, inner_iterations=2, k=4, seed=0,
+                            workers=workers)
+        with np.errstate(over="ignore"), pytest.raises(ProtocolError) as raised:
+            run_evaluation("knn", HyperGrid("knn", {"k": [3]}), huge, protocol)
+        assert str(raised.value) == ("every iteration failed; first error: "
+                                     "NumericError: the iteration's RMSE overflowed")
+        assert isinstance(numeric_cause(raised.value), NumericError)
 
     def test_failed_iterations_excluded_and_counted(self):
         data = synthetic_matrix(60, 0.05, seed=10)
@@ -321,6 +399,14 @@ class TestFractionSweep:
             with pytest.raises(ProtocolError):
                 fraction_sweep("knn", HyperGrid("knn", {"k": [3]}), data,
                                fractions, protocol)
+
+    def test_one_candidate_needs_only_the_training_side_to_fit(self):
+        # k=30 fits the 30 training rows at 0.5, though no 20-row CV fold
+        data = synthetic_matrix(60, 0.05, seed=5)
+        protocol = Protocol(outer_iterations=1, inner_iterations=2, k=3, seed=7)
+        report = fraction_sweep("knn", HyperGrid("knn", {"k": [30]}), data, [0.5], protocol)
+        assert report.rows[0]["n_iterations"] == 2
+        assert report.rows[0]["n_failures"] == 0
 
     def test_out_of_range_fraction_rejected(self):
         data = synthetic_matrix(60, 0.05, seed=15)
@@ -407,6 +493,14 @@ class TestFamilyRegistry:
         with pytest.raises(ConfigError) as info:
             build_model(family, params, seed=0)
         assert isinstance(info.value.__cause__, (TypeError, ValueError))
+
+    def test_zero_epochs_fails_only_its_candidate(self):
+        data = synthetic_matrix(40, 0.05, seed=20)
+        grid = HyperGrid("bnn_ensemble", {"epochs": [0, 1], "n_draws": [2]})
+        result = grid_search("bnn_ensemble", grid, data, k=2, seed=0)
+        assert result.errors == ("ConfigError: epochs must be >= 1", None)
+        assert result.mean_scores[0] == -np.inf
+        assert result.chosen_index == 1
 
     def test_ensemble_needs_two_draws(self):
         from dimuq.harness import build_model
