@@ -10,7 +10,6 @@ from .models import (
     GaussianHead,
     HeadConfig,
     HeadNetwork,
-    elbo_loss,
     train_ensemble_model,
     train_head_model,
 )
@@ -26,7 +25,7 @@ from .uncertainty import (
 __all__ = [
     "BatchNormLayer", "DenseLayer", "VariationalDenseLayer",
     "softplus", "softplus_inverse",
-    "nll_loss", "kl_diag_gaussians", "elbo_loss",
+    "nll_loss", "kl_diag_gaussians",
     "GaussianHead", "HeadConfig", "EnsembleConfig",
     "DEFAULT_HEAD_EPOCHS", "DEFAULT_ENSEMBLE_EPOCHS", "DEFAULT_DRAWS",
     "HeadNetwork", "EnsembleNetwork",

@@ -1,8 +1,8 @@
 """Network building blocks with explicit forward/backward passes.
 
 Everything is plain numpy; each layer caches what its backward pass needs
-and writes parameter gradients, in place, into arrays aligned with
-``params()``. A network packs those arrays into one parameter vector and one
+and writes parameter gradients, in place, into the arrays its ``GRADS``
+names. A network packs those arrays into one parameter vector and one
 gradient vector with ``pack_layers``.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..optim import flat_views
+from .losses import standard_normal_kl
 
 
 def softplus(x):
@@ -40,16 +41,10 @@ class _Trainable:
     GRADS: tuple[str, ...] = ()
     STATISTICS: tuple[str, ...] = ()
 
-    def params(self):
-        return [getattr(self, name) for name in self.PARAMS]
-
-    def grads(self):
-        return [getattr(self, name) for name in self.GRADS]
-
 
 def pack_layers(layers) -> tuple[np.ndarray, np.ndarray]:
     """Rebind every parameter and gradient array of ``layers`` to views of one
-    parameter vector and one gradient vector, in ``params()`` order, and
+    parameter vector and one gradient vector, in ``PARAMS`` order, and
     return the two vectors."""
     slots = [(layer, p, g) for layer in layers for p, g in zip(layer.PARAMS, layer.GRADS)]
     theta, values = flat_views([getattr(layer, p) for layer, p, _ in slots])
@@ -210,16 +205,8 @@ class VariationalDenseLayer(_Trainable):
                             + kl_weight * (sigma_b - 1.0 / sigma_b) * slope_b)
         return dz @ W.T
 
-    def _kl(self, stddevs) -> float:
-        total = 0.0
-        for mu, sigma in zip((self.mu_W, self.mu_b), stddevs):
-            total += float(np.sum(-np.log(sigma) + 0.5 * (sigma ** 2 + mu ** 2) - 0.5))
-        return total
-
-    def kl_to_standard_normal(self) -> float:
-        """Analytic KL(posterior || standard normal), summed over parameters."""
-        return self._kl(self.posterior_stddevs())
-
     def forward_kl(self) -> float:
-        """The KL term of the posterior the last forward pass sampled from."""
-        return self._kl(self._cache[3])
+        """Analytic KL(posterior || standard normal), summed over parameters,
+        of the posterior the last forward pass sampled from."""
+        return sum(float(np.sum(standard_normal_kl(mu, sigma)))
+                   for mu, sigma in zip((self.mu_W, self.mu_b), self._cache[3]))

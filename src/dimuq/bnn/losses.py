@@ -22,27 +22,27 @@ def nll_loss(means, stddevs, targets) -> float:
         raise ConfigError("nll_loss inputs must be finite")
     if np.any(stddevs <= 0):
         raise ConfigError("stddevs must be > 0")
-    return gaussian_nll(means, stddevs, targets)
+    return gaussian_nll(means, stddevs, targets)[0]
 
 
-def gaussian_nll(means, stddevs, targets) -> float:
-    """``nll_loss`` on 1-D float arrays without input checks: training loops
-    check the loss itself, which is non-finite when the inputs are."""
-    var = stddevs ** 2
-    per_sample = 0.5 * (_LOG_2PI + np.log(var)) + (targets - means) ** 2 / (2.0 * var)
-    return float(per_sample.mean())
-
-
-def nll_grads(means, stddevs, targets):
-    """d(mean NLL)/d(mu_i), d(mean NLL)/d(sigma_i)."""
-    means = np.asarray(means, dtype=np.float64).ravel()
-    stddevs = np.asarray(stddevs, dtype=np.float64).ravel()
-    targets = np.asarray(targets, dtype=np.float64).ravel()
+def gaussian_nll(means, stddevs, targets):
+    """``nll_loss`` on 1-D float arrays without input checks, and its
+    derivatives with respect to each mean and each stddev: (loss, d_means,
+    d_stddevs). Training loops check the loss itself, which is non-finite
+    when the inputs are."""
     m = targets.size
     residual = means - targets
-    d_mean = residual / stddevs ** 2 / m
-    d_std = (1.0 / stddevs - residual ** 2 / stddevs ** 3) / m
-    return d_mean, d_std
+    var = stddevs ** 2
+    per_sample = 0.5 * (_LOG_2PI + np.log(var)) + residual ** 2 / (2.0 * var)
+    d_means = residual / var / m
+    d_stddevs = (1.0 / stddevs - residual ** 2 / stddevs ** 3) / m
+    return float(per_sample.mean()), d_means, d_stddevs
+
+
+def standard_normal_kl(mu, sigma):
+    """KL(N(mu, sigma^2) || N(0, 1)) per element (nats), without input
+    checks: the terms ``kl_diag_gaussians(mu, sigma, 0, 1)`` sums."""
+    return -np.log(sigma) + 0.5 * (sigma ** 2 + mu ** 2) - 0.5
 
 
 def kl_diag_gaussians(mu_q, sigma_q, mu_p, sigma_p) -> float:

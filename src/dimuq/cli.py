@@ -172,6 +172,8 @@ class _Uq:
     bnn_ensemble: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.models and not self.fractions:
+            raise ProtocolError("uq lists no models and no fractions")
         unknown = sorted(set(self.models) - set(_UQ_FAMILIES))
         if unknown:
             raise ProtocolError(f"unknown uq model(s) {unknown}; known: {list(_UQ_FAMILIES)}")

@@ -90,6 +90,11 @@ class _GprParams(KernelParams):
     n_restarts: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_restarts < 0:
+            raise ConfigError("n_restarts must be >= 0")
+
 
 @dataclass(frozen=True)
 class _HeadParams(HeadConfig):

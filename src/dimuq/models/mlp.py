@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ConfigError, TrainingError
 from ..metrics import Prediction, Regressor
-from ..optim import Adam, FlatParameters, flat_views, minimize_lbfgs
+from ..optim import Adam, flat_views, minimize_lbfgs
 
 ACTIVATIONS = ("tanh", "relu")
 OPTIMIZERS = ("lbfgs", "adam")
@@ -35,6 +35,8 @@ class MlpConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate must be > 0")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
 
@@ -44,7 +46,7 @@ def _glorot_uniform(rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class MlpRegressor(FlatParameters, Regressor):
+class MlpRegressor(Regressor):
     def __init__(self, config: MlpConfig | None = None):
         self.config = config or MlpConfig()
         self.weights: list[np.ndarray] | None = None
@@ -60,10 +62,10 @@ class MlpRegressor(FlatParameters, Regressor):
                    for i in range(len(sizes) - 1)]
         biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
         self.theta, views = flat_views([*weights, *biases])
-        self.weights, self.biases = views[:len(weights)], views[len(weights):]
-
-    def _params(self) -> list[np.ndarray]:
-        return [*self.weights, *self.biases]
+        self.gradient, grads = flat_views([np.zeros_like(a) for a in views])
+        n = len(weights)
+        self.weights, self.biases = views[:n], views[n:]
+        self._weight_grads, self._bias_grads = grads[:n], grads[n:]
 
     # -- forward / backward ---------------------------------------------------
 
@@ -81,8 +83,8 @@ class MlpRegressor(FlatParameters, Regressor):
             h = self._activate(h @ W + b)
         return (h @ self.weights[-1] + self.biases[-1]).ravel()
 
-    def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
-        """Half-MSE loss and gradients for every weight and bias array."""
+    def loss_and_grads(self, X: np.ndarray, y: np.ndarray) -> float:
+        """Half-MSE loss; writes its gradient into ``gradient``."""
         activations = [X]
         h = X
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -93,19 +95,17 @@ class MlpRegressor(FlatParameters, Regressor):
         diff = pred - y
         loss = 0.5 * float(np.mean(diff ** 2))
 
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
         delta = (diff / m)[:, None]
-        grads_w[-1] = activations[-1].T @ delta
-        grads_b[-1] = delta.sum(axis=0)
+        self._weight_grads[-1][...] = activations[-1].T @ delta
+        self._bias_grads[-1][...] = delta.sum(axis=0)
         upstream = delta @ self.weights[-1].T
         for layer in range(len(self.weights) - 2, -1, -1):
             upstream = upstream * self._activate_grad(activations[layer + 1])
-            grads_w[layer] = activations[layer].T @ upstream
-            grads_b[layer] = upstream.sum(axis=0)
+            self._weight_grads[layer][...] = activations[layer].T @ upstream
+            self._bias_grads[layer][...] = upstream.sum(axis=0)
             if layer > 0:
                 upstream = upstream @ self.weights[layer].T
-        return loss, grads_w + grads_b
+        return loss
 
     # -- training --------------------------------------------------------------
 
@@ -120,11 +120,10 @@ class MlpRegressor(FlatParameters, Regressor):
 
     def _fit_adam(self, X, y):
         optimizer = Adam(lr=self.config.learning_rate)
-        params = self._params()
         previous = np.inf
         stalled = 0
         for it in range(self.config.max_iter):
-            loss, grads = self.loss_and_grads(X, y)
+            loss = self.loss_and_grads(X, y)
             if not np.isfinite(loss):
                 raise TrainingError("training loss became non-finite", iteration=it)
             # full-batch Adam oscillates; stop only after 10 consecutive
@@ -137,21 +136,21 @@ class MlpRegressor(FlatParameters, Regressor):
             else:
                 stalled = 0
             previous = loss
-            optimizer.step(params, grads)
+            optimizer.step(self.theta, self.gradient)
         self.n_iter = self.config.max_iter
 
     def _fit_lbfgs(self, X, y):
         def objective(flat):
-            self.set_flat_params(flat)
-            loss, grads = self.loss_and_grads(X, y)
-            return loss, np.concatenate([g.ravel() for g in grads])
+            self.theta[...] = flat
+            # a copy: the optimizer keeps earlier gradients beside the next one
+            return self.loss_and_grads(X, y), self.gradient.copy()
 
-        result = minimize_lbfgs(objective, self.flat_params(),
+        result = minimize_lbfgs(objective, self.theta,
                                 memory=10, max_iter=self.config.max_iter,
                                 grad_tol=1e-10, f_tol=1e-8)
         if not np.isfinite(result.fun):
             raise TrainingError("training loss became non-finite", iteration=result.n_iter)
-        self.set_flat_params(result.x)
+        self.theta[...] = result.x
         self.n_iter = result.n_iter
 
     def predict(self, features) -> Prediction:

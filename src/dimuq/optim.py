@@ -9,7 +9,13 @@ import numpy as np
 
 def flat_views(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
     """Copy ``arrays`` into one contiguous vector; return it and views of it
-    shaped like each array, in order."""
+    shaped like each array, in order.
+
+    A model keeps such a vector as its ``theta`` or ``gradient`` and the
+    views as its arrays, and optimizers step the vector. The views must only
+    ever be written in place (``p[...] = ...``, ``+=``); rebinding one would
+    detach it from the vector, and so does a pickle or deep copy of the model.
+    """
     vector = np.concatenate([a.ravel() for a in arrays])
     views, offset = [], 0
     for a in arrays:
@@ -18,25 +24,8 @@ def flat_views(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
     return vector, views
 
 
-class FlatParameters:
-    """A model whose trainable arrays are views into one vector ``theta``.
-
-    The views must only ever be written in place (``p[...] = ...``, ``+=``);
-    rebinding one would detach it from ``theta``, and so does a pickle or
-    deep copy of the model. Optimizers step ``[theta]`` as one array.
-    """
-
-    theta: np.ndarray
-
-    def flat_params(self) -> np.ndarray:
-        return self.theta.copy()
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        self.theta[...] = flat
-
-
 class Adam:
-    """Adam with bias correction; updates parameter arrays in place."""
+    """Adam with bias correction; updates a parameter vector in place."""
 
     def __init__(self, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -45,22 +34,22 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, gradient: np.ndarray) -> None:
         if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
+            self._m = np.zeros_like(theta)
+            self._v = np.zeros_like(theta)
         self.t += 1
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * gradient
+        v *= self.beta2
+        v += (1.0 - self.beta2) * gradient * gradient
+        theta -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
 
 
 class RmsProp:
@@ -70,15 +59,15 @@ class RmsProp:
         self.lr = lr
         self.rho = rho
         self.eps = eps
-        self._ms: list[np.ndarray] | None = None
+        self._ms: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, gradient: np.ndarray) -> None:
         if self._ms is None:
-            self._ms = [np.zeros_like(p) for p in params]
-        for p, g, ms in zip(params, grads, self._ms):
-            ms *= self.rho
-            ms += (1.0 - self.rho) * g * g
-            p -= self.lr * g / (np.sqrt(ms) + self.eps)
+            self._ms = np.zeros_like(theta)
+        ms = self._ms
+        ms *= self.rho
+        ms += (1.0 - self.rho) * gradient * gradient
+        theta -= self.lr * gradient / (np.sqrt(ms) + self.eps)
 
 
 @dataclass

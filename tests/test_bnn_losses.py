@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dimuq.bnn import kl_diag_gaussians, nll_loss
-from dimuq.bnn.losses import nll_grads
+from dimuq.bnn.losses import gaussian_nll, standard_normal_kl
 from dimuq.errors import ConfigError
 
 from helpers import central_difference
@@ -27,7 +27,8 @@ class TestNll:
         raw = rng.normal(size=5)  # parameterize sigma > 0 via exp
         targets = rng.normal(size=5)
 
-        d_mean, d_std = nll_grads(means, np.exp(raw), targets)
+        loss, d_mean, d_std = gaussian_nll(means, np.exp(raw), targets)
+        assert loss == nll_loss(means, np.exp(raw), targets)
         numeric_mean = central_difference(
             lambda m: nll_loss(m, np.exp(raw), targets), means, h=1e-6)
         numeric_raw = central_difference(
@@ -78,6 +79,16 @@ class TestKlDiagGaussians:
                 0.0, abs=1e-12)
             perturbed = kl_diag_gaussians([mu + 0.1], [sigma], [mu], [sigma])
             assert perturbed > 1e-6
+
+    def test_standard_normal_terms_sum_to_the_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            mu = rng.normal(size=5)
+            sigma = rng.uniform(0.05, 3.0, size=5)
+            terms = standard_normal_kl(mu, sigma)
+            assert terms.shape == (5,)
+            assert float(terms.sum()) == pytest.approx(
+                kl_diag_gaussians(mu, sigma, np.zeros(5), np.ones(5)), abs=1e-12)
 
     def test_monte_carlo_agreement(self):
         # independent oracle: estimate E_q[log q - log p] by sampling

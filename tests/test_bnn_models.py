@@ -11,7 +11,6 @@ from dimuq.bnn import (
     HeadConfig,
     HeadNetwork,
     decompose_uncertainty,
-    elbo_loss,
     ensemble_predict,
     load_snapshot,
     save_snapshot,
@@ -46,13 +45,21 @@ def known_noise_head_fit():
     return train_head_model(train, HeadConfig(), epochs=4000, seed=5), test
 
 
+def layer_arrays(model, names: str) -> list:
+    """The arrays that the ``PARAMS`` or ``GRADS`` of the layers of ``model``
+    name, in parameter order."""
+    return [getattr(layer, name) for _, layer in model.named_layers()
+            for name in getattr(layer, names)]
+
+
 class TestElbo:
     def test_zero_kl_weight_reduces_to_nll(self):
         rng = np.random.default_rng(0)
         X, y = rng.standard_normal((6, 4)), rng.standard_normal(6) * 0.1
         model = EnsembleNetwork(4, 3, seed=1)
         noise = model.draw_noise(np.random.default_rng(2))
-        total, nll, kl = elbo_loss(model, X, y, kl_weight=0.0, noise=noise)
+        _, total, nll, kl = model.loss_and_grads(model.input_norm.batch_moments(X), noise, y,
+                                                 kl_weight=0.0)
         assert total == nll
         assert kl > 0.0
 
@@ -62,32 +69,29 @@ class TestElbo:
         model.variational.mu_b[...] = 0.0
         model.variational.rho_W[...] = softplus_inverse(1.0)
         model.variational.rho_b[...] = softplus_inverse(1.0)
-        assert model.variational.kl_to_standard_normal() == pytest.approx(0.0, abs=1e-12)
+        model.variational.forward(np.zeros((2, 4)), model.draw_noise(np.random.default_rng(0)))
+        assert model.variational.forward_kl() == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_noise_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         X, y = rng.standard_normal((6, 5)), rng.standard_normal(6) * 0.1
         model = EnsembleNetwork(5, 4, seed=2)
         noise = model.draw_noise(np.random.default_rng(9))
+        # the step train_ensemble_model runs each epoch, with its draw frozen
+        moments = model.input_norm.batch_moments(X)
 
         def loss_of(flat):
-            model.set_flat_params(flat)
-            total, _, _ = elbo_loss(model, X, y, kl_weight=0.05, noise=noise)
+            model.theta[...] = flat
+            _, total, _, _ = model.loss_and_grads(moments, noise, y, kl_weight=0.05)
             return total
 
-        flat0 = model.flat_params()
-        model.set_flat_params(flat0)
-        elbo_loss(model, X, y, kl_weight=0.05, noise=noise, with_grads=True)
-        analytic = np.concatenate([g.ravel() for g in model.grads()])
+        flat0 = model.theta.copy()
+        loss_of(flat0)
+        analytic = model.gradient.copy()
         numeric = central_difference(loss_of, flat0, h=1e-6)
         # covers every trainable class: batch-norm gamma/beta, variational
         # mu/rho, and the output layer weights
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
-
-    def test_needs_noise_or_rng(self):
-        model = EnsembleNetwork(3, 2, seed=0)
-        with pytest.raises(ConfigError):
-            elbo_loss(model, np.zeros((2, 3)), np.zeros(2), kl_weight=0.1)
 
 
 class TestHeadNetworkGradients:
@@ -97,13 +101,14 @@ class TestHeadNetworkGradients:
         model = HeadNetwork(5, (4, 3), seed=1)
 
         def loss_of(flat):
-            model.set_flat_params(flat)
-            nll, reg = model.loss_and_grads(X, y, kl_weight=0.01)
-            return nll + reg
+            model.theta[...] = flat
+            _, total, nll, reg = model.loss_and_grads(X, y, kl_weight=0.01)
+            assert total == nll + reg
+            return total
 
-        flat0 = model.flat_params()
+        flat0 = model.theta.copy()
         loss_of(flat0)
-        analytic = np.concatenate([g.ravel() for g in model.grads()])
+        analytic = model.gradient.copy()
         numeric = central_difference(loss_of, flat0, h=1e-6)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
@@ -125,7 +130,7 @@ class TestTraining:
         train, _ = scaled_fixture(200, noise=0.05, seed=1)
         first = train_head_model(train, HeadConfig(), epochs=50, seed=3)
         second = train_head_model(train, HeadConfig(), epochs=50, seed=3)
-        np.testing.assert_array_equal(first.flat_params(), second.flat_params())
+        np.testing.assert_array_equal(first.theta, second.theta)
 
     def test_head_loss_trace_schema(self):
         train, _ = scaled_fixture(150, noise=0.05, seed=2)
@@ -139,7 +144,7 @@ class TestTraining:
         train, _ = scaled_fixture(200, noise=0.05, seed=4)
         first = train_ensemble_model(train, EnsembleConfig(), epochs=80, seed=7)
         second = train_ensemble_model(train, EnsembleConfig(), epochs=80, seed=7)
-        np.testing.assert_array_equal(first.flat_params(), second.flat_params())
+        np.testing.assert_array_equal(first.theta, second.theta)
 
     def test_huge_kl_weight_collapses_posterior_toward_prior(self):
         train, _ = scaled_fixture(200, noise=0.05, seed=5)
@@ -161,10 +166,10 @@ class TestFlatParameters:
                                                (EnsembleNetwork, 4)])
     def test_params_and_grads_are_views_of_the_network_vectors(self, network, size):
         model = network(5, size, seed=1)
-        assert all(np.shares_memory(p, model.theta) for p in model.params())
-        assert all(np.shares_memory(g, model.gradient) for g in model.grads())
+        assert all(np.shares_memory(p, model.theta) for p in layer_arrays(model, "PARAMS"))
+        assert all(np.shares_memory(g, model.gradient) for g in layer_arrays(model, "GRADS"))
         np.testing.assert_array_equal(
-            model.theta, np.concatenate([p.ravel() for p in model.params()]))
+            model.theta, np.concatenate([p.ravel() for p in layer_arrays(model, "PARAMS")]))
         assert model.gradient.size == model.theta.size
 
     @pytest.mark.parametrize("train, config", [(train_head_model, HeadConfig()),
@@ -172,8 +177,8 @@ class TestFlatParameters:
     def test_training_keeps_the_views_bound(self, train, config):
         data, _ = scaled_fixture(120, noise=0.05, seed=14)
         model = train(data, config, epochs=5, seed=0)
-        assert all(np.shares_memory(p, model.theta) for p in model.params())
-        assert all(np.shares_memory(g, model.gradient) for g in model.grads())
+        assert all(np.shares_memory(p, model.theta) for p in layer_arrays(model, "PARAMS"))
+        assert all(np.shares_memory(g, model.gradient) for g in layer_arrays(model, "GRADS"))
 
 
 class TestDivergence:
@@ -361,8 +366,9 @@ class TestSnapshots:
                 assert set(archive.files) == expected[kind]
                 assert int(archive["format_version"]) == FORMAT_VERSION
             restored = load_snapshot(path)
-            np.testing.assert_array_equal(restored.flat_params(), model.flat_params())
-            assert all(np.shares_memory(p, restored.theta) for p in restored.params())
+            np.testing.assert_array_equal(restored.theta, model.theta)
+            assert all(np.shares_memory(p, restored.theta)
+                       for p in layer_arrays(restored, "PARAMS"))
 
 
 def test_softplus_matches_reference():

@@ -431,6 +431,7 @@ class TestBadConfig:
         ("evaluate", {"families": [{"family": "knnn"}, {"family": "knn", "grid": {"k": [1]}}]}),
         ("sweep", {"sweep_fractions": []}),
         ("sweep", {"sweep_fractions": [0.8, 0.5, 0.3]}),
+        ("uq", {"uq": {}}),
     ])
     def test_exits_3_and_writes_no_report(self, tmp_path, command, overrides):
         config = tmp_path / "config.json"
@@ -452,6 +453,9 @@ class TestBadUqParams:
         {"models": ["gpr"], "gpr": {"seed": 3}},
         {"models": ["bnn_ensemble"], "draws": 1},
         {"models": ["bnn_head"], "bnn_head": {"epochs": 0}},
+        {"models": ["bnn_head"], "bnn_head": {"learning_rate": 0}},
+        {"models": ["bnn_ensemble"], "bnn_ensemble": {"kl_weight": -0.5}},
+        {"models": ["gpr"], "gpr": {"n_restarts": -3}},
     ])
     def test_bad_model_block_exits_3_before_training(self, tmp_path, uq):
         config = tmp_path / "config.json"

@@ -507,6 +507,24 @@ class TestFamilyRegistry:
         with pytest.raises(ConfigError):
             build_model("bnn_ensemble", {"n_draws": 1}, seed=0)
 
+    @pytest.mark.parametrize("family, params, message", [
+        ("bnn_head", {"learning_rate": 0}, "learning_rate must be > 0"),
+        ("bnn_ensemble", {"learning_rate": -0.001}, "learning_rate must be > 0"),
+        ("mlp", {"optimizer": "adam", "learning_rate": 0.0}, "learning_rate must be > 0"),
+        ("bnn_head", {"kl_weight": -0.1}, "kl_weight must be >= 0"),
+        ("bnn_ensemble", {"kl_weight": -1e-9}, "kl_weight must be >= 0"),
+        ("gpr", {"n_restarts": -3}, "n_restarts must be >= 0"),
+    ])
+    def test_degenerate_training_setting_raises_config_error(self, family, params, message):
+        from dimuq.harness import build_model
+        with pytest.raises(ConfigError, match=message):
+            build_model(family, params, seed=0)
+
+    @pytest.mark.parametrize("family", ["bnn_head", "bnn_ensemble"])
+    def test_zero_kl_weight_is_valid(self, family):
+        from dimuq.harness import build_model
+        assert build_model(family, {"kl_weight": 0}, seed=0).params.kl_weight == 0
+
 
 class TestReadConfig:
     @pytest.mark.parametrize("cls, doc, field, value", [

@@ -29,7 +29,7 @@ class TestMlp:
         model = MlpRegressor(MlpConfig(hidden_sizes=(5, 3), seed=0))
         model.init_params(4)
         assert all(np.shares_memory(p, model.theta) for p in model.weights + model.biases)
-        model.set_flat_params(np.arange(model.theta.size, dtype=np.float64))
+        model.theta[...] = np.arange(model.theta.size, dtype=np.float64)
         assert model.biases[-1][0] == model.theta.size - 1
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -40,14 +40,12 @@ class TestMlp:
         model.init_params(3)
 
         def loss_of(flat):
-            model.set_flat_params(flat)
-            loss, _ = model.loss_and_grads(train.features, train.targets)
-            return loss
+            model.theta[...] = flat
+            return model.loss_and_grads(train.features, train.targets)
 
-        flat0 = model.flat_params()
-        model.set_flat_params(flat0)
-        _, grads = model.loss_and_grads(train.features, train.targets)
-        analytic = np.concatenate([g.ravel() for g in grads])
+        flat0 = model.theta.copy()
+        loss_of(flat0)
+        analytic = model.gradient.copy()
         numeric = central_difference(loss_of, flat0, h=1e-5)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 

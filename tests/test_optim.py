@@ -59,11 +59,10 @@ class StepRecorder:
 
     @staticmethod
     def run(optimizer, steps=400):
-        params = [np.array([4.0, -3.0])]
+        theta = np.array([4.0, -3.0])
         for _ in range(steps):
-            grads = [2.0 * params[0]]
-            optimizer.step(params, grads)
-        return params[0]
+            optimizer.step(theta, 2.0 * theta)
+        return theta
 
 
 class TestFirstOrder:
@@ -79,9 +78,9 @@ class TestFirstOrder:
     def test_adam_first_step_size_is_lr(self):
         # bias correction makes the first update exactly lr * sign(grad)
         optimizer = Adam(lr=0.1)
-        params = [np.array([1.0])]
-        optimizer.step(params, [np.array([7.0])])
-        assert params[0][0] == pytest.approx(1.0 - 0.1, abs=1e-9)
+        theta = np.array([1.0])
+        optimizer.step(theta, np.array([7.0]))
+        assert theta[0] == pytest.approx(1.0 - 0.1, abs=1e-9)
 
 
 def reference_adam(params, grads_per_step, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -124,6 +123,6 @@ class TestFlatStep:
                            for s in shapes] for _ in range(6)]
         theta, _ = flat_views(params)
         for grads in grads_per_step:
-            optimizer.step([theta], [np.concatenate([g.ravel() for g in grads])])
+            optimizer.step(theta, flat_views(grads)[0])
         reference(params, grads_per_step)
         np.testing.assert_array_equal(theta, np.concatenate([p.ravel() for p in params]))
