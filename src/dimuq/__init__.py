@@ -11,7 +11,6 @@ from .data import (
     encode,
     fit_scaler,
     generate_synthetic,
-    invert_scaler,
     load_csv,
     synthetic_matrix,
 )
@@ -23,13 +22,13 @@ from .metrics import (
     parity_table,
     rmse,
 )
-from .schema import ColumnSpec, DataSchema, default_schema, load_schema, save_schema
+from .schema import ColumnSpec, DataSchema, default_schema, load_schema
 
 __all__ = [
     "__version__",
-    "ColumnSpec", "DataSchema", "default_schema", "load_schema", "save_schema",
+    "ColumnSpec", "DataSchema", "default_schema", "load_schema",
     "RecordTable", "DesignMatrix", "ScalerState",
-    "load_csv", "encode", "fit_scaler", "apply_scaler", "invert_scaler",
+    "load_csv", "encode", "fit_scaler", "apply_scaler",
     "generate_synthetic", "synthetic_matrix",
     "rmse", "combined_noise_floor", "parity_table",
     "Prediction", "PredictiveDistribution", "ParityTable",

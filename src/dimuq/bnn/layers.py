@@ -1,4 +1,5 @@
-"""Network building blocks with explicit forward/backward passes.
+"""Network building blocks with explicit forward/backward passes, shared by
+the probabilistic networks and the point MLP.
 
 Everything is plain numpy; each layer caches what its backward pass needs
 and writes parameter gradients, in place, into the arrays its ``GRADS``
@@ -44,9 +45,13 @@ class _Trainable:
 
 def pack_layers(layers) -> tuple[np.ndarray, np.ndarray]:
     """Rebind every parameter and gradient array of ``layers`` to views of one
-    parameter vector and one gradient vector, in ``PARAMS`` order, and
-    return the two vectors."""
-    slots = [(layer, p, g) for layer in layers for p, g in zip(layer.PARAMS, layer.GRADS)]
+    parameter vector and one gradient vector, and return the two vectors.
+    The arrays run by their position in ``PARAMS``, then by layer: dense
+    layers give all their weights, then all their biases."""
+    layers = list(layers)
+    depth = max(len(layer.PARAMS) for layer in layers)
+    slots = [(layer, layer.PARAMS[i], layer.GRADS[i]) for i in range(depth)
+             for layer in layers if i < len(layer.PARAMS)]
     theta, values = flat_views([getattr(layer, p) for layer, p, _ in slots])
     gradient, grads = flat_views([getattr(layer, g) for layer, _, g in slots])
     for (layer, p, g), value, grad in zip(slots, values, grads):
@@ -77,9 +82,14 @@ class DenseLayer(_Trainable):
         """Cache-free forward pass, safe under concurrent calls."""
         return x @ self.W + self.b
 
-    def backward(self, dz: np.ndarray) -> np.ndarray:
+    def param_backward(self, dz: np.ndarray) -> None:
+        """Write the weight and bias gradients only, for a layer whose input
+        gradient nobody reads."""
         self.dW[...] = self._x.T @ dz
         self.db[...] = dz.sum(axis=0)
+
+    def backward(self, dz: np.ndarray) -> np.ndarray:
+        self.param_backward(dz)
         return dz @ self.W.T
 
 

@@ -163,10 +163,12 @@ class HeadNetwork(_Network):
             d_mu = d_mu + kl_weight * mu / m
             d_sigma = d_sigma + kl_weight * (sigma - 1.0 / sigma) / m
         upstream = self.output.backward(head.raw_gradient(d_mu, d_sigma))
-        for (dense, bn), post in zip(reversed(self.hidden), reversed(relu_outputs)):
-            upstream = upstream * (post > 0.0)
-            upstream = bn.backward(upstream)
-            upstream = dense.backward(upstream)
+        for depth in reversed(range(len(self.hidden))):
+            dense, bn = self.hidden[depth]
+            upstream = bn.backward(upstream * (relu_outputs[depth] > 0.0))
+            if depth > 0:
+                upstream = dense.backward(upstream)
+        self.hidden[0][0].param_backward(upstream)
         return head, nll + reg, nll, reg
 
     def infer(self, X: np.ndarray) -> GaussianHead:

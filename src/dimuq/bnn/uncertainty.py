@@ -2,8 +2,11 @@
 
 Per query, the aleatoric part is the root mean square of the per-draw
 predicted standard deviations; the epistemic part is the sample standard
-deviation of the per-draw predicted means. Their squares add up to the total
-predictive variance of the Gaussian mixture.
+deviation (``ddof=1``) of the per-draw predicted means. The total is their
+root sum of squares. It is not quite the Gaussian mixture's spread: the
+mixture's variance takes the means' population variance (``ddof=0``), so
+the epistemic variance here is n/(n-1) times the mixture's between-draw
+variance, about 0.5% above it at 200 draws.
 """
 
 from __future__ import annotations
@@ -88,7 +91,11 @@ def ensemble_predict(model: EnsembleNetwork, queries, n_draws: int = DEFAULT_DRA
 
 
 def decompose_uncertainty(ensemble: EnsembleOutput) -> UncertaintyDecomposition:
-    """Split the ensemble's predictive spread into data and model parts."""
+    """Split the ensemble's predictive spread into data and model parts.
+
+    ``total`` is the root sum of squares of the two parts. With the
+    epistemic part's ``ddof=1``, ``total ** 2`` exceeds the mixture variance
+    by the between-draw variance over n_draws - 1."""
     aleatoric = np.sqrt(np.mean(ensemble.stddevs ** 2, axis=0))
     epistemic = np.std(ensemble.means, axis=0, ddof=1)
     total = np.sqrt(aleatoric ** 2 + epistemic ** 2)

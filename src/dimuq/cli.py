@@ -54,7 +54,7 @@ from .harness import (
     uq_report_to_json,
     uq_trend_study,
 )
-from .metrics import parity_table, rmse
+from .metrics import csv_text, json_text, parity_table, rmse
 from .schema import default_schema, load_schema
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ class RunManifest:
     created_utc: str
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"
+        return json_text(self.__dict__)
 
 
 def _sha256_file(path) -> str:
@@ -236,12 +236,9 @@ def cmd_ingest(args) -> int:
     matrix = encode(table)
     out_dir = Path(args.out)
 
-    lines = [",".join([*matrix.column_labels, table.schema.target.name])]
-    for i in range(matrix.n_rows):
-        cells = [format(v, ".10g") for v in matrix.features[i]]
-        cells.append(format(matrix.targets[i], ".10g"))
-        lines.append(",".join(cells))
-    _write(out_dir, "encoded_matrix.csv", "\n".join(lines) + "\n")
+    rows = ([*features, target] for features, target in zip(matrix.features, matrix.targets))
+    _write(out_dir, "encoded_matrix.csv",
+           csv_text([*matrix.column_labels, table.schema.target.name], rows))
 
     inventories = {}
     for col in table.schema.columns:
@@ -258,7 +255,7 @@ def cmd_ingest(args) -> int:
         "level_inventories": inventories,
         "run_id": manifest.run_id,
     }
-    _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write(out_dir, "summary.json", json_text(summary))
     _write(out_dir, "manifest.json", manifest.to_json())
     print(f"ingested {matrix.n_rows} rows, encoded width {matrix.width}")
     return EXIT_OK
@@ -281,7 +278,7 @@ def _each_family(specs, run, out_dir: Path, manifest: RunManifest) -> tuple[list
     if not failures:
         return results, EXIT_OK
     records = [record for record, _ in failures]
-    _write(out_dir, "failures.json", json.dumps(records, indent=2, sort_keys=True) + "\n")
+    _write(out_dir, "failures.json", json_text(records))
     first, code = failures[0]
     print(f"error: {first['error']}", file=sys.stderr)
     return results, code
@@ -348,16 +345,9 @@ def _uq_parity_runs(models: list, fraction: float, matrix, protocol,
                parity_table(test.targets, means, **spread).to_csv())
         if family != "gpr":
             _write(out_dir, f"loss_trace_{family}.csv",
-                   _loss_trace_csv(model.network.loss_trace))
+                   csv_text(("epoch", "nll", "kl", "total"), model.network.loss_trace))
             save_snapshot(model.network, out_dir / f"snapshot_{family}.npz")
         print(f"{family}: test RMSE {rmse(means, test.targets):.5f} mm")
-
-
-def _loss_trace_csv(trace) -> str:
-    lines = ["epoch,nll,kl,total"]
-    for epoch, nll, kl, total in trace:
-        lines.append(f"{epoch},{nll:.10g},{kl:.10g},{total:.10g}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_uq(args) -> int:

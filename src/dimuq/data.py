@@ -243,12 +243,6 @@ def apply_scaler(state: ScalerState, matrix: DesignMatrix) -> DesignMatrix:
     return DesignMatrix(features, matrix.targets, matrix.column_labels)
 
 
-def invert_scaler(state: ScalerState, matrix: DesignMatrix) -> DesignMatrix:
-    _check_layout(state, matrix)
-    features = matrix.features * state.scale + state.shift
-    return DesignMatrix(features, matrix.targets, matrix.column_labels)
-
-
 # Synthetic fixture: additive offsets per categorical level plus smooth
 # nonlinear terms in the coordinates. Amplitudes give a target spread of
 # roughly 0.1 mm, similar to real deviation data.
@@ -336,7 +330,7 @@ def _format_cell(value) -> str:
 
 __all__ = [
     "RecordTable", "DesignMatrix", "ScalerState",
-    "load_csv", "encode", "fit_scaler", "apply_scaler", "invert_scaler",
+    "load_csv", "encode", "fit_scaler", "apply_scaler",
     "generate_synthetic", "synthetic_matrix", "synthetic_ground_truth", "write_csv",
     "ColumnSpec", "DataSchema", "default_schema",
 ]

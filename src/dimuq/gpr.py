@@ -4,7 +4,8 @@ Hyperparameters (amplitude, length scale, noise variance) live in log space
 and are fit by restarted maximization of the log marginal likelihood with
 analytic gradients. The reported predictive standard deviation includes the
 learned observation noise; the latent-function deviation is available
-separately.
+separately. ``scipy.linalg`` is imported inside the functions that use it,
+so importing the package (and the CLI) does not load scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .distances import sq_distances
 from .errors import ConditioningError, ConfigError
@@ -74,6 +74,7 @@ def gram(X1: np.ndarray, X2: np.ndarray, params: KernelParams,
 
 
 def _chol_with_jitter(K: np.ndarray):
+    from scipy.linalg import cholesky
     for jitter in _JITTERS:
         try:
             L = cholesky(K + jitter * np.eye(K.shape[0]), lower=True)
@@ -88,6 +89,7 @@ def _chol_with_jitter(K: np.ndarray):
 def log_marginal_likelihood(X, y, params: KernelParams, return_grad: bool = False):
     """LML of the targets under the kernel, optionally with its gradient with
     respect to (log amplitude, log length scale, log noise)."""
+    from scipy.linalg import cho_solve
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     n = y.size
@@ -131,6 +133,7 @@ class GprModel:
 
 def build_gpr(matrix, params: KernelParams) -> GprModel:
     """Condition on the training data at fixed kernel parameters."""
+    from scipy.linalg import cho_solve
     X, y = matrix.features, matrix.targets
     K = gram(X, X, params, noise=True)
     L, jitter = _chol_with_jitter(K)
@@ -181,6 +184,7 @@ def predict_gpr(model: GprModel, queries, include_noise: bool = True) -> Predict
     With ``include_noise`` the variance carries the learned observation
     noise; without it, only the latent-function variance remains.
     """
+    from scipy.linalg import solve_triangular
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != model.X_train.shape[1]:
         raise ConfigError(

@@ -2,17 +2,8 @@
 
 from __future__ import annotations
 
-import io
-import json
-
+from ..metrics import csv_text, json_text
 from .evaluation import EvalReport, SweepReport, UqTrendReport
-
-COMPARISON_HEADER = ("family,average_rmse_mm,maximum_rmse_mm,minimum_rmse_mm,"
-                     "stddev_mm,prediction_range_mm")
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".10g")
 
 
 def eval_report_to_dict(report: EvalReport) -> dict:
@@ -35,19 +26,15 @@ def eval_report_to_dict(report: EvalReport) -> dict:
 
 
 def eval_report_to_json(report: EvalReport) -> str:
-    return json.dumps(eval_report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return json_text(eval_report_to_dict(report))
 
 
 def comparison_table(reports: list[EvalReport]) -> str:
-    out = io.StringIO()
-    out.write(COMPARISON_HEADER + "\n")
-    for report in reports:
-        out.write(",".join([
-            report.family,
-            _fmt(report.average), _fmt(report.maximum), _fmt(report.minimum),
-            _fmt(report.stddev), _fmt(report.prediction_range),
-        ]) + "\n")
-    return out.getvalue()
+    return csv_text(
+        ("family", "average_rmse_mm", "maximum_rmse_mm", "minimum_rmse_mm", "stddev_mm",
+         "prediction_range_mm"),
+        ((r.family, r.average, r.maximum, r.minimum, r.stddev, r.prediction_range)
+         for r in reports))
 
 
 def sweep_report_to_dict(report: SweepReport) -> dict:
@@ -60,21 +47,20 @@ def sweep_report_to_dict(report: SweepReport) -> dict:
 
 
 def sweep_report_to_json(report: SweepReport) -> str:
-    return json.dumps(sweep_report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return json_text(sweep_report_to_dict(report))
+
+
+def _rows_csv(rows, header) -> str:
+    """CSV of sweep or trend rows: a column holds the row values under its
+    header name less any ``_mm`` unit suffix."""
+    return csv_text(header, ([row[name.removesuffix("_mm")] for name in header]
+                             for row in rows))
 
 
 def sweep_report_to_csv(report: SweepReport) -> str:
-    out = io.StringIO()
-    out.write("fraction,mean_test_rmse_mm,std_test_rmse_mm,"
-              "mean_train_rmse_mm,std_train_rmse_mm,n_iterations,n_failures\n")
-    for row in report.rows:
-        out.write(",".join([
-            _fmt(row["fraction"]),
-            _fmt(row["mean_test_rmse"]), _fmt(row["std_test_rmse"]),
-            _fmt(row["mean_train_rmse"]), _fmt(row["std_train_rmse"]),
-            str(row["n_iterations"]), str(row["n_failures"]),
-        ]) + "\n")
-    return out.getvalue()
+    return _rows_csv(report.rows, (
+        "fraction", "mean_test_rmse_mm", "std_test_rmse_mm", "mean_train_rmse_mm",
+        "std_train_rmse_mm", "n_iterations", "n_failures"))
 
 
 def uq_report_to_dict(report: UqTrendReport) -> dict:
@@ -87,18 +73,10 @@ def uq_report_to_dict(report: UqTrendReport) -> dict:
 
 
 def uq_report_to_json(report: UqTrendReport) -> str:
-    return json.dumps(uq_report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return json_text(uq_report_to_dict(report))
 
 
 def uq_report_to_csv(report: UqTrendReport) -> str:
-    out = io.StringIO()
-    out.write("fraction,mean_aleatoric_mm,std_aleatoric_mm,"
-              "mean_epistemic_mm,std_epistemic_mm,mean_test_rmse_mm,std_test_rmse_mm\n")
-    for row in report.rows:
-        out.write(",".join([
-            _fmt(row["fraction"]),
-            _fmt(row["mean_aleatoric"]), _fmt(row["std_aleatoric"]),
-            _fmt(row["mean_epistemic"]), _fmt(row["std_epistemic"]),
-            _fmt(row["mean_test_rmse"]), _fmt(row["std_test_rmse"]),
-        ]) + "\n")
-    return out.getvalue()
+    return _rows_csv(report.rows, (
+        "fraction", "mean_aleatoric_mm", "std_aleatoric_mm", "mean_epistemic_mm",
+        "std_epistemic_mm", "mean_test_rmse_mm", "std_test_rmse_mm"))

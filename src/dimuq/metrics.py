@@ -1,4 +1,5 @@
-"""Shared regressor contracts and the error metrics used throughout.
+"""Shared regressor contracts, the error metrics used throughout, and the
+one CSV and one JSON writer of every output file.
 
 RMSE in mm is the single accuracy metric; the combined noise floor gives the
 best RMSE any regressor can be expected to reach on this kind of data.
@@ -6,7 +7,7 @@ best RMSE any regressor can be expected to reach on this kind of data.
 
 from __future__ import annotations
 
-import io
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,26 @@ class ProbabilisticRegressor(Regressor):
         raise NotImplementedError
 
 
+def csv_text(header, rows) -> str:
+    """The text of a CSV file: the ``header`` names, then one line per row.
+    A float cell is written to 10 significant digits, ``None`` as an empty
+    cell and anything else by ``str``; nothing is quoted."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return format(value, ".10g") if isinstance(value, float) else str(value)
+
+    lines = [",".join(header)]
+    lines += [",".join(cell(value) for value in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def json_text(doc) -> str:
+    """The text of a JSON file: two-space indent, sorted keys, one trailing
+    newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 PARITY_HEADER = "measured_mm,predicted_mm,aleatoric_mm,epistemic_mm"
 
 
@@ -134,14 +155,9 @@ class ParityTable:
         return self.measured.size
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(PARITY_HEADER + "\n")
-        for i in range(len(self)):
-            cells = [format(self.measured[i], ".10g"), format(self.predicted[i], ".10g")]
-            for column in (self.aleatoric, self.epistemic):
-                cells.append("" if column is None else format(column[i], ".10g"))
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
+        spread = [[None] * len(self) if column is None else column
+                  for column in (self.aleatoric, self.epistemic)]
+        return csv_text(PARITY_HEADER.split(","), zip(self.measured, self.predicted, *spread))
 
 
 def parity_table(measured, predicted, aleatoric=None, epistemic=None) -> ParityTable:

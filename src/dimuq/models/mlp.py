@@ -1,7 +1,8 @@
 """Fully connected feed-forward regressor trained full-batch.
 
-Loss is half the mean squared error; gradients come from plain backprop and
-feed either Adam or the limited-memory quasi-Newton solver.
+Loss is half the mean squared error; the dense layers of ``bnn.layers``
+backpropagate it, and the gradient feeds either Adam or the limited-memory
+quasi-Newton solver.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..bnn.layers import DenseLayer, pack_layers
 from ..errors import ConfigError, TrainingError
 from ..metrics import Prediction, Regressor
-from ..optim import Adam, flat_views, minimize_lbfgs
+from ..optim import Adam, minimize_lbfgs
 
 ACTIVATIONS = ("tanh", "relu")
 OPTIMIZERS = ("lbfgs", "adam")
@@ -41,31 +43,19 @@ class MlpConfig:
             raise ConfigError("max_iter must be >= 1")
 
 
-def _glorot_uniform(rng, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 class MlpRegressor(Regressor):
     def __init__(self, config: MlpConfig | None = None):
         self.config = config or MlpConfig()
-        self.weights: list[np.ndarray] | None = None
-        self.biases: list[np.ndarray] | None = None
+        self.layers: list[DenseLayer] | None = None
         self.n_iter: int = 0
 
-    # -- parameter plumbing ---------------------------------------------------
-
     def init_params(self, n_inputs: int) -> None:
+        """Glorot-uniform dense layers; ``theta`` holds all their weights,
+        then all their biases."""
         rng = np.random.default_rng(np.random.SeedSequence([self.config.seed]))
         sizes = [n_inputs, *self.config.hidden_sizes, 1]
-        weights = [_glorot_uniform(rng, sizes[i], sizes[i + 1])
-                   for i in range(len(sizes) - 1)]
-        biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-        self.theta, views = flat_views([*weights, *biases])
-        self.gradient, grads = flat_views([np.zeros_like(a) for a in views])
-        n = len(weights)
-        self.weights, self.biases = views[:n], views[n:]
-        self._weight_grads, self._bias_grads = grads[:n], grads[n:]
+        self.layers = [DenseLayer(n_in, n_out, rng) for n_in, n_out in zip(sizes, sizes[1:])]
+        self.theta, self.gradient = pack_layers(self.layers)
 
     # -- forward / backward ---------------------------------------------------
 
@@ -79,32 +69,23 @@ class MlpRegressor(Regressor):
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         h = X
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = self._activate(h @ W + b)
-        return (h @ self.weights[-1] + self.biases[-1]).ravel()
+        for layer in self.layers[:-1]:
+            h = self._activate(layer.apply(h))
+        return self.layers[-1].apply(h).ravel()
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray) -> float:
         """Half-MSE loss; writes its gradient into ``gradient``."""
-        activations = [X]
+        activations = []
         h = X
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = self._activate(h @ W + b)
+        for layer in self.layers[:-1]:
+            h = self._activate(layer.forward(h))
             activations.append(h)
-        pred = (h @ self.weights[-1] + self.biases[-1]).ravel()
-        m = y.size
-        diff = pred - y
+        diff = self.layers[-1].forward(h).ravel() - y
         loss = 0.5 * float(np.mean(diff ** 2))
-
-        delta = (diff / m)[:, None]
-        self._weight_grads[-1][...] = activations[-1].T @ delta
-        self._bias_grads[-1][...] = delta.sum(axis=0)
-        upstream = delta @ self.weights[-1].T
-        for layer in range(len(self.weights) - 2, -1, -1):
-            upstream = upstream * self._activate_grad(activations[layer + 1])
-            self._weight_grads[layer][...] = activations[layer].T @ upstream
-            self._bias_grads[layer][...] = upstream.sum(axis=0)
-            if layer > 0:
-                upstream = upstream @ self.weights[layer].T
+        upstream = (diff / y.size)[:, None]
+        for layer, a in zip(reversed(self.layers[1:]), reversed(activations)):
+            upstream = layer.backward(upstream) * self._activate_grad(a)
+        self.layers[0].param_backward(upstream)
         return loss
 
     # -- training --------------------------------------------------------------
@@ -154,7 +135,7 @@ class MlpRegressor(Regressor):
         self.n_iter = result.n_iter
 
     def predict(self, features) -> Prediction:
-        if self.weights is None:
+        if self.layers is None:
             raise ConfigError("predict before fit")
         queries = np.atleast_2d(np.asarray(features, dtype=np.float64))
         return Prediction(self.forward(queries))

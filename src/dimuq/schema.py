@@ -156,22 +156,6 @@ def default_schema() -> DataSchema:
     return DataSchema(columns=columns, selected_inputs=selected)
 
 
-def schema_to_dict(schema: DataSchema) -> dict:
-    return {
-        "columns": [
-            {
-                "name": c.name,
-                "kind": c.kind,
-                "role": c.role,
-                **({"levels": list(c.levels)} if c.is_categorical else {}),
-                **({"open_levels": True} if c.open_levels else {}),
-            }
-            for c in schema.columns
-        ],
-        "selected_inputs": list(schema.selected_inputs),
-    }
-
-
 def schema_from_dict(doc: dict) -> DataSchema:
     try:
         columns = tuple(
@@ -197,9 +181,3 @@ def load_schema(path) -> DataSchema:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"schema file {path} is not valid JSON: {exc}") from exc
     return schema_from_dict(doc)
-
-
-def save_schema(schema: DataSchema, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(schema_to_dict(schema), handle, indent=2)
-        handle.write("\n")

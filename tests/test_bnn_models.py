@@ -47,9 +47,12 @@ def known_noise_head_fit():
 
 def layer_arrays(model, names: str) -> list:
     """The arrays that the ``PARAMS`` or ``GRADS`` of the layers of ``model``
-    name, in parameter order."""
-    return [getattr(layer, name) for _, layer in model.named_layers()
-            for name in getattr(layer, names)]
+    name, in the order of the network's vectors: the first name of every
+    layer, then the second, and so on."""
+    layers = [layer for _, layer in model.named_layers()]
+    depth = max(len(layer.PARAMS) for layer in layers)
+    return [getattr(layer, getattr(layer, names)[i]) for i in range(depth)
+            for layer in layers if i < len(layer.PARAMS)]
 
 
 class TestElbo:

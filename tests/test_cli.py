@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dimuq
 from dimuq import cli, synthetic_matrix
 from dimuq.cli import main
 from dimuq.data import generate_synthetic, write_csv
@@ -478,3 +482,12 @@ class TestBadUqParams:
                    "bnn_ensemble": {"no_such_knob": 1}},
         }))
         assert run_cli("uq", "--config", config, "--out", tmp_path / "o") == 3
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # only GPR needs scipy, and it imports it on its first call
+    code = "import sys, dimuq.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(dimuq.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout == "[]\n"

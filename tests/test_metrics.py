@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from dimuq.metrics import (
     Prediction,
     PredictiveDistribution,
     combined_noise_floor,
+    csv_text,
+    json_text,
     parity_table,
     rmse,
 )
@@ -95,3 +99,26 @@ class TestParityTable:
             parity_table([0.1, 0.2], [0.1])
         with pytest.raises(ConfigError):
             parity_table([0.1], [0.1], aleatoric=[0.1, 0.2])
+
+
+class TestCsvText:
+    def test_float_int_str_and_none_cells(self):
+        rows = [(1 / 3, 7, "knn", None),
+                (np.float64(2.0), np.int64(3), "a b", None),
+                (12345678901.5, -1, "", 1e-12)]
+        assert csv_text(("f", "i", "s", "n"), rows) == (
+            "f,i,s,n\n"
+            "0.3333333333,7,knn,\n"
+            "2,3,a b,\n"
+            "1.23456789e+10,-1,,1e-12\n")
+
+    def test_no_rows_is_the_header_line(self):
+        assert csv_text(["a", "b"], []) == "a,b\n"
+
+
+class TestJsonText:
+    def test_sorted_keys_two_space_indent_and_one_newline(self):
+        text = json_text({"b": [1, 2.5], "a": {"d": None, "c": "x"}})
+        assert text == ('{\n  "a": {\n    "c": "x",\n    "d": null\n  },\n'
+                        '  "b": [\n    1,\n    2.5\n  ]\n}\n')
+        assert json.loads(text) == {"a": {"c": "x", "d": None}, "b": [1, 2.5]}

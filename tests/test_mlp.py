@@ -19,8 +19,8 @@ class TestMlp:
     def test_zeroed_output_layer_predicts_bias(self):
         model = MlpRegressor(MlpConfig(hidden_sizes=(5, 3), seed=0))
         model.init_params(4)
-        model.weights[-1][...] = 0.0
-        model.biases[-1][...] = 0.37
+        model.layers[-1].W[...] = 0.0
+        model.layers[-1].b[...] = 0.37
         rng = np.random.default_rng(0)
         np.testing.assert_allclose(model.forward(rng.normal(size=(6, 4))), 0.37,
                                    rtol=1e-12)
@@ -28,9 +28,14 @@ class TestMlp:
     def test_weights_and_biases_are_views_of_one_vector(self):
         model = MlpRegressor(MlpConfig(hidden_sizes=(5, 3), seed=0))
         model.init_params(4)
-        assert all(np.shares_memory(p, model.theta) for p in model.weights + model.biases)
+        weights = [layer.W for layer in model.layers]
+        biases = [layer.b for layer in model.layers]
+        assert all(np.shares_memory(p, model.theta) for p in weights + biases)
+        # all weights, then all biases
+        np.testing.assert_array_equal(
+            model.theta, np.concatenate([p.ravel() for p in weights + biases]))
         model.theta[...] = np.arange(model.theta.size, dtype=np.float64)
-        assert model.biases[-1][0] == model.theta.size - 1
+        assert model.layers[-1].b[0] == model.theta.size - 1
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_gradients_match_finite_differences(self, activation):

@@ -6,7 +6,6 @@ from dimuq.schema import (
     DataSchema,
     default_schema,
     schema_from_dict,
-    schema_to_dict,
 )
 
 
@@ -72,7 +71,27 @@ class TestDefaultSchema:
         assert "material=UMA" in labels
         assert "x_coordinate" in labels
 
-    def test_dict_round_trip(self):
-        schema = default_schema()
-        rebuilt = schema_from_dict(schema_to_dict(schema))
-        assert rebuilt == schema
+    def test_from_dict_reads_a_literal_document(self):
+        doc = {
+            "columns": [
+                {"name": "material", "kind": "categorical",
+                 "role": "manufacturing_parameter", "levels": ["UMA", "RPU"]},
+                {"name": "feature_id", "kind": "categorical", "role": "feature_descriptor",
+                 "levels": ["f0", "f1"], "open_levels": True},
+                {"name": "x_coordinate", "kind": "continuous",
+                 "role": "manufacturing_parameter"},
+                {"name": "dft", "kind": "continuous", "role": "target"},
+            ],
+            "selected_inputs": ["x_coordinate", "material"],
+        }
+        assert schema_from_dict(doc) == DataSchema(
+            columns=(
+                ColumnSpec("material", "categorical", "manufacturing_parameter",
+                           ("UMA", "RPU")),
+                ColumnSpec("feature_id", "categorical", "feature_descriptor", ("f0", "f1"),
+                           open_levels=True),
+                ColumnSpec("x_coordinate", "continuous", "manufacturing_parameter"),
+                ColumnSpec("dft", "continuous", "target"),
+            ),
+            selected_inputs=("x_coordinate", "material"),
+        )
