@@ -53,6 +53,7 @@ from .harness import (
     uq_report_to_csv,
     uq_report_to_json,
     uq_trend_study,
+    worker_pool,
 )
 from .metrics import csv_text, json_text, parity_table, rmse
 from .schema import default_schema, load_schema
@@ -293,13 +294,16 @@ def cmd_evaluate(args) -> int:
     manifest = _make_manifest("evaluate", args.config, data_path, protocol.seed)
 
     def evaluate(family, grid):
-        report = run_evaluation(family, grid, matrix, protocol)
+        report = run_evaluation(family, grid, matrix, protocol, pool=pool)
         _write(out_dir, f"report_{family}.json", eval_report_to_json(report))
         print(f"{family}: average test RMSE {report.average:.5f} mm "
               f"({report.n_successes} iterations, {len(report.failures)} failed)")
         return report
 
-    reports, code = _each_family(specs, evaluate, out_dir, manifest)
+    # one pool for every family; its workers start at the first submit
+    n_tasks = len(specs) * protocol.outer_iterations * protocol.inner_iterations
+    with worker_pool(protocol.workers, n_tasks) as pool:
+        reports, code = _each_family(specs, evaluate, out_dir, manifest)
     if reports:
         _write(out_dir, "comparison.csv", comparison_table(reports))
     return code
@@ -315,14 +319,18 @@ def cmd_sweep(args) -> int:
     manifest = _make_manifest("sweep", args.config, data_path, protocol.seed)
 
     def sweep(family, grid):
-        report = fraction_sweep(family, grid, matrix, fractions, protocol)
+        report = fraction_sweep(family, grid, matrix, fractions, protocol, pool=pool)
         _write(out_dir, f"sweep_{family}.json", sweep_report_to_json(report))
         _write(out_dir, f"sweep_{family}.csv", sweep_report_to_csv(report))
         measured, predicted = min(report.reports, key=lambda r: r.minimum).best_parity
         _write(out_dir, f"parity_{family}.csv", parity_table(measured, predicted).to_csv())
         print(f"{family}: swept {len(report.fractions)} fractions")
 
-    return _each_family(specs, sweep, out_dir, manifest)[1]
+    # one pool for every family and fraction
+    n_tasks = (len(specs) * len(fractions)
+               * protocol.outer_iterations * protocol.inner_iterations)
+    with worker_pool(protocol.workers, n_tasks) as pool:
+        return _each_family(specs, sweep, out_dir, manifest)[1]
 
 
 def _uq_parity_runs(models: list, fraction: float, matrix, protocol,

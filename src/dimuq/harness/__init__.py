@@ -11,6 +11,7 @@ from .evaluation import (
     split_rows,
     sweep_fractions,
     uq_trend_study,
+    worker_pool,
 )
 from .families import FAMILY_NAMES, build_model, read_config
 from .reports import (
@@ -32,6 +33,7 @@ __all__ = [
     "HyperGrid", "CvResult", "grid_search", "scale_split",
     "Protocol", "ci_preset", "EvalReport", "SweepReport", "UqTrendReport",
     "split_rows", "run_evaluation", "sweep_fractions", "fraction_sweep", "uq_trend_study",
+    "worker_pool",
     "FAMILY_NAMES", "build_model", "read_config",
     "comparison_table",
     "eval_report_to_dict", "eval_report_to_json",

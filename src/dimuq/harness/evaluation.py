@@ -6,12 +6,20 @@ scores the held-out side. A grid with one candidate has nothing to search:
 every iteration fits that candidate. Aggregates are computed from the
 per-iteration RMSE list after sorting by iteration id, so parallel execution
 cannot change any reported number.
+
+A run is planned (its iteration tasks listed, every value checked), run,
+then aggregated. With more than one worker a CLI command opens one process
+pool and hands it every run; a sweep submits all its fractions' iterations
+to it in one batch, the largest fraction first. A pool never has more
+workers than the command has iterations.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -149,18 +157,26 @@ def _iteration_task(task):
                 "cause": numeric_cause(exc)}
 
 
-def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
-                   protocol: Protocol, complement: bool = False) -> EvalReport:
-    """All outer x inner iterations of the protocol, aggregated into a report.
-    With ``complement`` each iteration tests on every row it did not train on."""
+def worker_pool(workers: int, n_tasks: int):
+    """A process pool of ``min(workers, n_tasks)`` workers to use in a
+    ``with`` block; it yields ``None`` when one process is enough. The
+    workers start at the first submit, not here."""
+    workers = min(workers, n_tasks)
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
+def _plan(family: str, grid: HyperGrid, data: DesignMatrix, protocol: Protocol,
+          complement: bool) -> list[tuple]:
+    """The protocol's iteration tasks, in iteration order. A one-candidate
+    grid is built here, and ``per_outer`` searched here, so that a bad value
+    fails before any iteration runs."""
     if data.n_rows == 0:
         raise ProtocolError("dataset is empty")
 
     candidates = grid.candidates()
     fixed_by_outer: dict[int, dict] = {}
     if len(candidates) == 1:
-        # nothing to choose: every iteration fits the one candidate, built
-        # here first so that a bad value fails before any model trains
+        # nothing to choose: every iteration fits the one candidate
         build_model(family, candidates[0])
         fixed_by_outer = dict.fromkeys(range(protocol.outer_iterations), candidates[0])
     elif protocol.grid_mode == "per_outer":
@@ -179,14 +195,22 @@ def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
             iteration = outer * protocol.inner_iterations + inner
             tasks.append((family, grid, data, protocol, iteration,
                           fixed_by_outer.get(outer), complement))
+    return tasks
 
-    if protocol.workers > 1:
-        with ProcessPoolExecutor(max_workers=protocol.workers) as pool:
-            records = list(pool.map(_iteration_task, tasks))
-    else:
-        records = [_iteration_task(task) for task in tasks]
 
-    records.sort(key=lambda r: r["iteration"])
+def _run_tasks(tasks: list, workers: int, pool) -> list[dict]:
+    """Every task's record, in task order: on ``pool`` when one is given,
+    else on a pool of the run's own when ``workers`` > 1, else in turn."""
+    with nullcontext(pool) if pool is not None else worker_pool(workers, len(tasks)) as pool:
+        if pool is None:
+            return [_iteration_task(task) for task in tasks]
+        return list(pool.map(_iteration_task, tasks))
+
+
+def _aggregate(family: str, grid: HyperGrid, protocol: Protocol, records: list) -> EvalReport:
+    """The report of one protocol run's records; raises ``ProtocolError``
+    when every iteration failed."""
+    records = sorted(records, key=lambda r: r["iteration"])
     successes = [r for r in records if "error" not in r]
     failed = [r for r in records if "error" in r]
     failures = tuple((r["iteration"], r["error"]) for r in failed)
@@ -231,6 +255,17 @@ def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
     )
 
 
+def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
+                   protocol: Protocol, complement: bool = False,
+                   pool: ProcessPoolExecutor | None = None) -> EvalReport:
+    """All outer x inner iterations of the protocol, aggregated into a report.
+    With ``complement`` each iteration tests on every row it did not train on.
+    The iterations run on ``pool`` when one is given, else on a pool of
+    their own when ``protocol.workers`` > 1."""
+    tasks = _plan(family, grid, data, protocol, complement)
+    return _aggregate(family, grid, protocol, _run_tasks(tasks, protocol.workers, pool))
+
+
 @dataclass(frozen=True)
 class SweepReport:
     """Per-training-fraction mean and spread of train/test RMSE (mm)."""
@@ -260,14 +295,28 @@ def sweep_fractions(values) -> list[float]:
 
 
 def fraction_sweep(family: str, grid: HyperGrid, data: DesignMatrix,
-                   fractions_list, protocol: Protocol) -> SweepReport:
-    """Run the full protocol at each training fraction; test on the complement."""
+                   fractions_list, protocol: Protocol,
+                   pool: ProcessPoolExecutor | None = None) -> SweepReport:
+    """Run the full protocol at each training fraction; test on the complement.
+
+    Every fraction is planned before any iteration runs. All the iterations
+    then run as one batch, on ``pool`` as ``run_evaluation`` does, the
+    largest fraction's first: its fits take longest, so the batch ends with
+    short tasks and no worker idles long. The reports are aggregated in
+    ascending fraction order, so the first fraction whose every iteration
+    failed raises."""
     fractions_list = sweep_fractions(fractions_list)
+    protocols = [replace(protocol, fractions=Fractions(fraction, 1.0 - fraction, 0.0))
+                 for fraction in fractions_list]
+    plans = [_plan(family, grid, data, sub, complement=True) for sub in protocols]
+    batch = [task for plan in reversed(plans) for task in plan]
+    records = iter(_run_tasks(batch, protocol.workers, pool))
+    per_fraction = [list(islice(records, len(plan))) for plan in reversed(plans)][::-1]
+
     rows = []
     reports = []
-    for fraction in fractions_list:
-        sub_protocol = replace(protocol, fractions=Fractions(fraction, 1.0 - fraction, 0.0))
-        report = run_evaluation(family, grid, data, sub_protocol, complement=True)
+    for fraction, sub, fraction_records in zip(fractions_list, protocols, per_fraction):
+        report = _aggregate(family, grid, sub, fraction_records)
         reports.append(report)
         row = {"fraction": fraction, "n_iterations": len(report.test_rmses),
                "n_failures": len(report.failures)}

@@ -4,7 +4,7 @@ a record of what the harness scales."""
 import numpy as np
 
 from dimuq.data import DesignMatrix
-from dimuq.harness import search
+from dimuq.harness import evaluation, search
 
 
 def central_difference(fun, x0, h=1e-6):
@@ -64,3 +64,39 @@ def row_ids(part: DesignMatrix, whole: DesignMatrix) -> np.ndarray:
     index = {target: i for i, target in enumerate(whole.targets.tolist())}
     assert len(index) == whole.n_rows, "the targets do not identify the rows"
     return np.array([index[target] for target in part.targets.tolist()])
+
+
+def record_pools(monkeypatch, run: bool = True) -> list:
+    """Replace the harness's ``ProcessPoolExecutor`` with a stand-in that
+    starts no process. Every pool built appends its ``max_workers`` to the
+    returned list. What is mapped on a pool runs in turn in this process,
+    or, with ``run=False``, fails the test."""
+    built = []
+
+    class StandInPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, *iterables):
+            if not run:
+                raise AssertionError("a task was submitted to a worker pool")
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", StandInPool)
+    return built
+
+
+def no_iterations(monkeypatch) -> None:
+    """Make any protocol iteration, or any task submitted to a worker pool,
+    fail the test. Building a pool is allowed: it starts no worker."""
+    def started(*args, **kwargs):
+        raise AssertionError("a protocol iteration started")
+
+    monkeypatch.setattr(evaluation, "_run_iteration", started)
+    record_pools(monkeypatch, run=False)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from dimuq.data import generate_synthetic, write_csv
 from dimuq.errors import ConditioningError
 from dimuq.harness import Fractions, dual_mc_split, evaluation
 
-from helpers import record_scaling, row_ids, scaled_splits
+from helpers import no_iterations, record_pools, record_scaling, row_ids, scaled_splits
 
 
 @pytest.fixture()
@@ -145,6 +146,86 @@ class TestSweep:
         assert all(line.endswith(",,") for line in parity[1:])  # point estimates only
 
 
+def count_pools(monkeypatch) -> list:
+    """Wrap the real ``ProcessPoolExecutor`` so that every pool the harness
+    builds is appended to the returned list."""
+    real = evaluation.ProcessPoolExecutor
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", counting)
+    return built
+
+
+class TestWorkerPool:
+    FAMILIES = [{"family": "knn", "grid": {"k": [3, 5]}},
+                {"family": "decision_tree", "grid": {"max_depth": [2, 4]}}]
+
+    def write_config(self, tmp_path, families=FAMILIES, inner_iterations=2, **extra):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "synthetic": {"n": 80, "noise_sigma": 0.05, "seed": 5},
+            "protocol": {"outer_iterations": 1, "inner_iterations": inner_iterations,
+                         "fractions": [0.8, 0.2, 0.0], "k": 3, "seed": 7},
+            "families": families,
+            **extra,
+        }))
+        return path
+
+    def outputs_by_workers(self, tmp_path, monkeypatch, command, config) -> dict:
+        """Run ``command`` with 1, then 2 workers; return per worker count
+        the pools built and every output file but the manifest."""
+        built = count_pools(monkeypatch)
+        runs = {}
+        for workers in (1, 2):
+            before = len(built)
+            out = tmp_path / f"out{workers}"
+            assert run_cli(command, "--config", config, "--out", out,
+                           "--workers", workers) == 0
+            assert multiprocessing.active_children() == []
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())
+                     if path.name != "manifest.json"}
+            runs[workers] = (len(built) - before, files)
+        return runs
+
+    def test_sweep_shares_one_pool_and_writes_the_serial_bytes(self, tmp_path, monkeypatch):
+        config = self.write_config(tmp_path, sweep_fractions=[0.3, 0.6, 0.9])
+        runs = self.outputs_by_workers(tmp_path, monkeypatch, "sweep", config)
+        (serial_pools, serial), (pools, parallel) = runs[1], runs[2]
+        assert (serial_pools, pools) == (0, 1)
+        assert len(serial) == 6  # sweep JSON, sweep CSV and parity per family
+        assert parallel == serial
+
+    def test_evaluate_shares_one_pool_across_families(self, tmp_path, monkeypatch):
+        families = [*self.FAMILIES, {"family": "knn", "grid": {"k": [4]}}]
+        config = self.write_config(tmp_path, families)
+        runs = self.outputs_by_workers(tmp_path, monkeypatch, "evaluate", config)
+        (serial_pools, serial), (pools, parallel) = runs[1], runs[2]
+        assert (serial_pools, pools) == (0, 1)
+        assert parallel == serial
+
+    @pytest.mark.parametrize("command, families, inner_iterations, workers, pools", [
+        # families x fractions x outer x inner tasks: 2 x 2 x 1 x 2 = 8
+        pytest.param("sweep", FAMILIES, 2, 1000, [8], id="sweep-8-tasks-1000-workers"),
+        pytest.param("sweep", FAMILIES, 2, 3, [3], id="sweep-8-tasks-3-workers"),
+        pytest.param("evaluate", FAMILIES, 1, 1000, [2], id="evaluate-2-tasks-1000-workers"),
+        # a single task needs no pool
+        pytest.param("evaluate", FAMILIES[:1], 1, 2, [], id="evaluate-1-task-2-workers"),
+    ])
+    def test_pool_never_has_more_workers_than_tasks(self, tmp_path, monkeypatch, command,
+                                                    families, inner_iterations, workers,
+                                                    pools):
+        built = record_pools(monkeypatch)
+        config = self.write_config(tmp_path, families, inner_iterations,
+                                   sweep_fractions=[0.4, 0.8])
+        assert run_cli(command, "--config", config, "--out", tmp_path / "out",
+                       "--workers", workers) == 0
+        assert built == pools
+
+
 class TestUq:
     def make_config(self, tmp_path, **uq):
         config = {
@@ -174,6 +255,24 @@ class TestUq:
         trace = (out / "loss_trace_bnn_ensemble.csv").read_text().split("\n")
         assert trace[0] == "epoch,nll,kl,total"
         assert (out / "snapshot_bnn_ensemble.npz").exists()
+
+    def test_loss_trace_kl_column_per_network(self, tmp_path):
+        # the head's kl is its weighted output-prior penalty; the ensemble's
+        # is the unweighted weight KL, weighted by 1 / training rows in total
+        config = self.make_config(tmp_path, draws=5, models=["bnn_head", "bnn_ensemble"],
+                                  bnn_head={"epochs": 5}, bnn_ensemble={"epochs": 5})
+        out = tmp_path / "out"
+        assert run_cli("uq", "--config", config, "--out", out) == 0
+        n_train = dual_mc_split(120, Fractions(0.8, 0.2, 0.0), 7, 0).train.size
+        for family, kl_weight in (("bnn_head", 1.0), ("bnn_ensemble", 1.0 / n_train)):
+            lines = (out / f"loss_trace_{family}.csv").read_text().strip().split("\n")
+            assert lines[0] == "epoch,nll,kl,total"
+            for line in lines[1:]:
+                nll, kl, total = map(float, line.split(",")[1:])
+                assert kl > 0.0
+                # each cell is written to 10 significant digits
+                assert total == pytest.approx(nll + kl_weight * kl,
+                                              abs=1e-9 * (abs(nll) + abs(kl) + abs(total)))
 
     def test_gpr_parity_has_aleatoric_only(self, tmp_path):
         config = self.make_config(tmp_path, models=["gpr"], gpr={"n_restarts": 0})
@@ -242,15 +341,6 @@ class TestManifest:
         assert stripped1 == stripped2
 
 
-def no_iterations(monkeypatch):
-    """Make any protocol iteration or worker pool fail the test."""
-    def started(*args, **kwargs):
-        raise AssertionError("a protocol iteration started")
-
-    monkeypatch.setattr(evaluation, "_run_iteration", started)
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", started)
-
-
 WRONG_JSON_TYPES = [
     ("knn", {"k": [6.0]}),
     ("mlp", {"learning_rate": ["0.1"]}),
@@ -262,44 +352,57 @@ WRONG_JSON_TYPES = [
 
 
 class TestPartialFailure:
+    @staticmethod
+    def partial_failure(tmp_path, command, config) -> tuple[int, list]:
+        """Run ``command`` with 1, then 2 workers; each run must write the
+        same exit code and ``failures.json``, which are returned."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        results = []
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            code = run_cli(command, "--config", path, "--out", out, "--workers", workers)
+            results.append((code, read_json(out / "failures.json")))
+            assert (out / "manifest.json").exists()
+        assert results[0] == results[1]
+        return results[0]
+
     def test_failed_family_flushes_partial_results(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
+        code, failures = self.partial_failure(tmp_path, "evaluate", {
             "synthetic": {"n": 60, "noise_sigma": 0.05, "seed": 5},
-            "protocol": {"outer_iterations": 1, "inner_iterations": 1,
+            "protocol": {"outer_iterations": 1, "inner_iterations": 2,
                          "fractions": [0.8, 0.2, 0.0], "k": 3, "seed": 7},
             "families": [
                 {"family": "knn", "grid": {"k": [4]}},
                 {"family": "knn", "grid": {"k": [5000]}},  # above every training side
             ],
-        }))
-        out = tmp_path / "out"
-        code = run_cli("evaluate", "--config", config, "--out", out)
+        })
         assert code == 3
-        assert (out / "report_knn.json").exists()  # the good family still lands
-        failures = read_json(out / "failures.json")
-        assert failures and "knn" in failures[0]["family"]
+        for workers in (1, 2):  # the good family still lands
+            assert (tmp_path / f"out{workers}" / "report_knn.json").exists()
+        assert failures == [{"family": "knn", "error": (
+            "ProtocolError: every iteration failed; first error: "
+            "ConfigError: k=5000 exceeds 48 training rows")}]
 
     def test_failed_sweep_family_flushes_partial_results(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
+        code, failures = self.partial_failure(tmp_path, "sweep", {
             "synthetic": {"n": 60, "noise_sigma": 0.05, "seed": 5},
-            "protocol": {"outer_iterations": 1, "inner_iterations": 1, "k": 3, "seed": 7},
+            "protocol": {"outer_iterations": 1, "inner_iterations": 2, "k": 3, "seed": 7},
             "families": [
                 {"family": "knn", "grid": {"k": [4]}},
                 {"family": "knn", "grid": {"k": [31]}},  # above the 30 training rows at 0.5
                 {"family": "decision_tree", "grid": {"max_depth": [3]}},
             ],
             "sweep_fractions": [0.5, 0.9],
-        }))
-        out = tmp_path / "out"
-        assert run_cli("sweep", "--config", config, "--out", out) == 3
-        assert (out / "sweep_knn.json").exists()  # the good family still lands
-        assert (out / "sweep_decision_tree.json").exists()  # and later ones run
-        assert (out / "manifest.json").exists()
-        [failure] = read_json(out / "failures.json")
-        assert failure["family"] == "knn"
-        assert failure["error"].startswith("ProtocolError: every iteration failed")
+        })
+        assert code == 3
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            assert (out / "sweep_knn.json").exists()  # the good family still lands
+            assert (out / "sweep_decision_tree.json").exists()  # and later ones run
+        assert failures == [{"family": "knn", "error": (
+            "ProtocolError: every iteration failed; first error: "
+            "ConfigError: k=31 exceeds 30 training rows")}]
 
     def test_conditioning_failure_exits_4(self, tmp_path, monkeypatch):
         def ill_conditioned(family, *args, **kwargs):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,8 @@ from dimuq.models import (
     TreeConfig,
 )
 
-from helpers import matrix_from_arrays, record_scaling, row_ids, scaled_splits
+from helpers import (matrix_from_arrays, no_iterations, record_scaling, row_ids,
+                     scaled_splits)
 
 
 class TestDualMcSplit:
@@ -389,16 +392,50 @@ class TestFractionSweep:
         assert high["mean_test_rmse"] <= low["mean_test_rmse"]
 
     def test_fractions_must_increase(self, monkeypatch):
-        def no_protocol_run(*args, **kwargs):
-            raise AssertionError("a protocol ran before the fractions were checked")
-
-        monkeypatch.setattr(evaluation, "run_evaluation", no_protocol_run)
+        no_iterations(monkeypatch)
         data = synthetic_matrix(60, 0.05, seed=14)
-        protocol = Protocol(outer_iterations=1, inner_iterations=1, seed=0)
-        for fractions in ([0.8, 0.2], [0.8, 0.5, 0.3], [0.5, 0.5]):
-            with pytest.raises(ProtocolError):
-                fraction_sweep("knn", HyperGrid("knn", {"k": [3]}), data,
-                               fractions, protocol)
+        for workers in (1, 2):
+            protocol = Protocol(outer_iterations=1, inner_iterations=1, seed=0,
+                                workers=workers)
+            for fractions in ([0.8, 0.2], [0.8, 0.5, 0.3], [0.5, 0.5]):
+                with pytest.raises(ProtocolError):
+                    fraction_sweep("knn", HyperGrid("knn", {"k": [3]}), data,
+                                   fractions, protocol)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_fraction_is_planned_before_any_iteration_runs(self, monkeypatch,
+                                                                 workers):
+        # a per_outer search runs at plan time: the last fraction's fails
+        # before the first fraction's iterations start
+        real_search = evaluation.grid_search
+
+        def fails_above_30_rows(family, grid, train, *args, **kwargs):
+            if train.n_rows > 30:
+                raise SearchError("every candidate failed")
+            return real_search(family, grid, train, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "grid_search", fails_above_30_rows)
+        no_iterations(monkeypatch)
+        data = synthetic_matrix(60, 0.05, seed=14)
+        protocol = Protocol(outer_iterations=1, inner_iterations=2, k=3, seed=0,
+                            grid_mode="per_outer", workers=workers)
+        with pytest.raises(SearchError):
+            fraction_sweep("knn", HyperGrid("knn", {"k": [3, 5]}), data, [0.3, 0.6],
+                           protocol)
+
+    def test_batched_sweep_matches_one_protocol_run_per_fraction(self):
+        data = synthetic_matrix(80, 0.05, seed=16)
+        grid = HyperGrid("knn", {"k": [3, 5]})
+        protocol = Protocol(outer_iterations=1, inner_iterations=3, k=3, seed=4)
+        report = fraction_sweep("knn", grid, data, [0.3, 0.6], protocol)
+        for fraction, swept in zip((0.3, 0.6), report.reports):
+            alone = run_evaluation(
+                "knn", grid, data,
+                replace(protocol, fractions=Fractions(fraction, 1.0 - fraction, 0.0)),
+                complement=True)
+            assert [x.hex() for x in swept.test_rmses] == [x.hex() for x in alone.test_rmses]
+            assert swept.chosen_params == alone.chosen_params
+            assert swept.provenance == alone.provenance
 
     def test_one_candidate_needs_only_the_training_side_to_fit(self):
         # k=30 fits the 30 training rows at 0.5, though no 20-row CV fold
