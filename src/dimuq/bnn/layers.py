@@ -1,10 +1,13 @@
-"""Network building blocks with explicit forward/backward passes, shared by
-the probabilistic networks and the point MLP.
+"""Network building blocks, shared by the probabilistic networks and the
+point MLP.
 
-Everything is plain numpy; each layer caches what its backward pass needs
-and writes parameter gradients, in place, into the arrays its ``GRADS``
-names. A network packs those arrays into one parameter vector and one
-gradient vector with ``pack_layers``.
+Everything is plain numpy. Each layer holds its parameters and, in the
+arrays its ``GRADS`` names, their gradients, which are written in place. A
+network packs those arrays into one parameter vector and one gradient
+vector with ``pack_layers``. The dense layer has its own forward and
+backward pass, which the MLP chains; the probabilistic networks train with
+fused passes of their own (``models.py``) over the batch-norm and
+variational layers' parameters.
 """
 
 from __future__ import annotations
@@ -96,8 +99,9 @@ class DenseLayer(_Trainable):
 class BatchNormLayer(_Trainable):
     """Batch normalization with trainable scale/shift and running statistics.
 
-    ``forward`` (training) normalizes by batch statistics and updates the
-    running estimates; ``apply`` (inference) uses the running estimates only.
+    A training pass normalizes by ``batch_moments`` and folds them into the
+    running estimates with ``update_running``; ``apply`` (inference) uses
+    the running estimates only.
     """
 
     PARAMS = ("gamma", "beta")
@@ -113,54 +117,35 @@ class BatchNormLayer(_Trainable):
         self.eps = eps
         self.dgamma = np.zeros_like(self.gamma)
         self.dbeta = np.zeros_like(self.beta)
-        self._xhat: np.ndarray | None = None
-        self._inv_std: np.ndarray | None = None
 
-    def batch_moments(self, x: np.ndarray):
-        """Batch mean, variance, 1/sqrt(variance + eps) and standardized batch."""
-        mean = x.mean(axis=0)
-        centred = x - mean
-        var = (centred * centred).sum(axis=0) / x.shape[0]  # == x.var(axis=0)
+    def batch_moments(self, x: np.ndarray, out: np.ndarray | None = None):
+        """Batch mean, variance, 1/sqrt(variance + eps) and standardized
+        batch, which is written to ``out`` (``x`` itself standardizes in
+        place). The column sums are vector products with a ones vector,
+        which cost a fraction of ``sum(axis=0)`` on a tall batch."""
+        ones = np.ones(x.shape[0])
+        mean = ones @ x / x.shape[0]
+        centred = np.subtract(x, mean, out=out)
+        var = ones @ (centred * centred) / x.shape[0]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        return mean, var, inv_std, centred * inv_std
+        centred *= inv_std
+        return mean, var, inv_std, centred
 
     def update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
         self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
         self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        mean, var, inv_std, xhat = self.batch_moments(x)
-        self.update_running(mean, var)
-        return self.scale_shift(xhat, inv_std)
-
-    def scale_shift(self, xhat: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
-        """gamma * xhat + beta, caching what the backward pass needs."""
-        self._xhat, self._inv_std = xhat, inv_std
-        return self.gamma * xhat + self.beta
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Cache-free inference pass using the running statistics."""
         inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
         return self.gamma * (x - self.running_mean) * inv_std + self.beta
 
-    def param_backward(self, dy: np.ndarray) -> None:
-        """Write the scale/shift gradients only, for a layer whose input
-        gradient nobody reads."""
-        self.dgamma[...] = (dy * self._xhat).sum(axis=0)
-        self.dbeta[...] = dy.sum(axis=0)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.param_backward(dy)
-        xhat, inv_std = self._xhat, self._inv_std
-        dxhat = dy * self.gamma
-        return inv_std * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
-
 
 class VariationalDenseLayer(_Trainable):
     """Dense layer whose weights carry independent Gaussian posteriors.
 
-    Each weight and bias has a mean and a pre-softplus scale; a forward pass
-    consumes one standard-normal noise draw per parameter (the
+    Each weight and bias has a mean and a pre-softplus scale; a training
+    pass consumes one standard-normal noise draw per parameter (the
     reparameterization w = mu + softplus(rho) * eps), so gradients flow into
     both mean and scale. The prior is a standard normal per parameter.
     """
@@ -178,7 +163,6 @@ class VariationalDenseLayer(_Trainable):
         self.drho_W = np.zeros_like(self.rho_W)
         self.dmu_b = np.zeros_like(self.mu_b)
         self.drho_b = np.zeros_like(self.rho_b)
-        self._cache = None
 
     def draw_noise(self, rng):
         return rng.standard_normal(self.mu_W.shape), rng.standard_normal(self.mu_b.shape)
@@ -191,32 +175,22 @@ class VariationalDenseLayer(_Trainable):
         (eps_W, eps_b), (sigma_W, sigma_b) = noise, stddevs
         return self.mu_W + sigma_W * eps_W, self.mu_b + sigma_b * eps_b
 
-    def forward(self, x: np.ndarray, noise) -> np.ndarray:
-        """Sampled pass; caches the draw and the posterior stddevs, which
-        ``forward_kl`` and ``backward`` reuse until the next forward pass."""
-        stddevs = self.posterior_stddevs()
-        W, b = self.sampled_weights(noise, stddevs)
-        self._cache = (x, noise, W, stddevs)
-        return x @ W + b
+    def write_gradients(self, dW, db, noise, stddevs, kl_weight: float) -> None:
+        """Write d(data loss + kl_weight * KL)/d(mu, rho), given the data
+        loss's gradients ``dW`` and ``db`` with respect to the weights that
+        ``sampled_weights(noise, stddevs)`` drew."""
+        for grad, eps, sigma, mu, d_mu, d_rho in (
+                (dW, noise[0], stddevs[0], self.mu_W, self.dmu_W, self.drho_W),
+                (db, noise[1], stddevs[1], self.mu_b, self.dmu_b, self.drho_b)):
+            np.multiply(mu, kl_weight, out=d_mu)
+            d_mu += grad
+            np.multiply(grad, eps, out=d_rho)
+            d_rho += kl_weight * (sigma - 1.0 / sigma)
+            # d softplus(rho) / d rho = sigmoid(rho) = 1 - exp(-softplus(rho))
+            d_rho *= -np.expm1(-sigma)
 
-    def backward(self, dz: np.ndarray, kl_weight: float) -> np.ndarray:
-        """Write d(data loss + kl_weight * KL)/d(mu, rho) of the last forward
-        pass; return the input gradient."""
-        x, (eps_W, eps_b), W, (sigma_W, sigma_b) = self._cache
-        dW = x.T @ dz
-        db = dz.sum(axis=0)
-        slope_W = sigmoid(self.rho_W)  # d softplus(rho) / d rho
-        slope_b = sigmoid(self.rho_b)
-        self.dmu_W[...] = dW + kl_weight * self.mu_W
-        self.drho_W[...] = (dW * eps_W * slope_W
-                            + kl_weight * (sigma_W - 1.0 / sigma_W) * slope_W)
-        self.dmu_b[...] = db + kl_weight * self.mu_b
-        self.drho_b[...] = (db * eps_b * slope_b
-                            + kl_weight * (sigma_b - 1.0 / sigma_b) * slope_b)
-        return dz @ W.T
-
-    def forward_kl(self) -> float:
+    def kl(self, stddevs) -> float:
         """Analytic KL(posterior || standard normal), summed over parameters,
-        of the posterior the last forward pass sampled from."""
+        of the posterior whose ``posterior_stddevs()`` are ``stddevs``."""
         return sum(float(np.sum(standard_normal_kl(mu, sigma)))
-                   for mu, sigma in zip((self.mu_W, self.mu_b), self._cache[3]))
+                   for mu, sigma in zip((self.mu_W, self.mu_b), stddevs))

@@ -32,11 +32,11 @@ def gaussian_nll(means, stddevs, targets):
     when the inputs are."""
     m = targets.size
     residual = means - targets
-    var = stddevs ** 2
-    per_sample = 0.5 * (_LOG_2PI + np.log(var)) + residual ** 2 / (2.0 * var)
-    d_means = residual / var / m
-    d_stddevs = (1.0 / stddevs - residual ** 2 / stddevs ** 3) / m
-    return float(per_sample.mean()), d_means, d_stddevs
+    inv_var = 1.0 / (stddevs * stddevs)
+    standardized = residual * residual * inv_var  # (y - mu)^2 / sigma^2
+    loss = 0.5 * _LOG_2PI + (np.log(stddevs).sum() + 0.5 * standardized.sum()) / m
+    inv_var /= m
+    return float(loss), residual * inv_var, (1.0 - standardized) / (m * stddevs)
 
 
 def standard_normal_kl(mu, sigma):

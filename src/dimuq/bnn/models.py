@@ -8,6 +8,23 @@ Model kind two: a single variational dense layer (sigmoid) over batch-
 normalized inputs, feeding the same Gaussian head through a deterministic
 output layer. Sampling its weight posterior turns it into an ensemble whose
 spread of means is the model (epistemic) uncertainty.
+
+Each network trains with one fused forward and backward pass
+(``loss_and_grads``) rather than a chain of per-layer passes:
+
+- column means and sums are vector products with a ones vector; the head's
+  batch norms centre and scale in place, and their backward pass takes its
+  two means from the scale and shift gradients;
+- the head's hidden dense biases enter only the running means, since the
+  batch norm after each cancels them (their gradient is zero);
+- the ensemble folds its input batch norm into the sampled weights,
+  xhat @ (gamma W) + (beta W + b), and takes every input-side gradient from
+  xhat^T dz and 1^T dz, so no step touches an input-sized array elementwise.
+
+This rounds differently from a per-layer chain. On the uq benchmark's
+instances 0-21 the ensemble's RMSEs kept their value and its trend values
+moved by < 1e-16 mm; 2000 full-batch Adam epochs amplify the head's
+rounding, and its RMSE moved by up to 8.8e-3 mm (instance 17).
 """
 
 from __future__ import annotations
@@ -49,10 +66,13 @@ class GaussianHead:
     def stddevs(self) -> np.ndarray:
         return softplus(self.raw_scale) + STDDEV_FLOOR
 
-    def raw_gradient(self, d_means, d_stddevs) -> np.ndarray:
-        """The gradient with respect to the raw two-column output, given the
-        gradients with respect to the means and the stddevs."""
-        return np.column_stack([d_means, d_stddevs * sigmoid(self.raw_scale)])
+    def raw_gradient(self, d_means, d_stddevs, out: np.ndarray) -> np.ndarray:
+        """Write into the two-column ``out`` the gradient with respect to the
+        raw output, given the gradients with respect to the means and the
+        stddevs, and return it."""
+        out[:, 0] = d_means
+        np.multiply(d_stddevs, sigmoid(self.raw_scale), out=out[:, 1])
+        return out
 
 
 @dataclass(frozen=True)
@@ -116,6 +136,28 @@ class _Network:
             self.loss_trace.append((epoch, nll, penalty, total))
             optimizer.step(self.theta, self.gradient)
 
+    def _output_pass(self, h: np.ndarray, y: np.ndarray, prior_weight: float):
+        """Forward and backward through the output layer and the Gaussian
+        head from the last hidden activations ``h``: writes the output
+        layer's gradients and returns (head, mean NLL, penalty, gradient
+        with respect to ``h``). A positive ``prior_weight`` adds the penalty
+        prior_weight * mean KL(predicted Gaussian || N(0, 1))."""
+        output = self.output
+        raw = output.apply(h)
+        head = GaussianHead(raw_mean=raw[:, 0], raw_scale=raw[:, 1])
+        mu, sigma = head.means, head.stddevs
+        nll, d_mu, d_sigma = gaussian_nll(mu, sigma, y)
+        penalty = 0.0
+        if prior_weight > 0.0:
+            m = y.size
+            penalty = prior_weight * float(standard_normal_kl(mu, sigma).mean())
+            d_mu = d_mu + prior_weight * mu / m
+            d_sigma = d_sigma + prior_weight * (sigma - 1.0 / sigma) / m
+        d_raw = head.raw_gradient(d_mu, d_sigma, np.empty_like(raw))
+        output.dW[...] = h.T @ d_raw
+        output.db[...] = np.ones(y.size) @ d_raw
+        return head, nll, penalty, d_raw @ output.W.T
+
 
 class HeadNetwork(_Network):
     """Deterministic trunk with a trainable-mean/-variance Gaussian output."""
@@ -145,30 +187,40 @@ class HeadNetwork(_Network):
 
     def loss_and_grads(self, X, y: np.ndarray, kl_weight: float):
         """One training pass on float targets ``y``, normalizing by batch
-        statistics: fills the gradient vector and returns (head, mean NLL +
-        output-prior penalty, mean NLL, penalty)."""
-        relu_outputs = []
+        statistics: updates the running statistics, fills the gradient
+        vector and returns (head, mean NLL + output-prior penalty, mean NLL,
+        penalty)."""
         h = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        n = h.shape[0]
+        ones = np.ones(n)
+        saved = []
         for dense, bn in self.hidden:
-            h = np.maximum(bn.forward(dense.forward(h)), 0.0)
-            relu_outputs.append(h)
-        raw = self.output.forward(h)
-        head = GaussianHead(raw_mean=raw[:, 0], raw_scale=raw[:, 1])
-        mu, sigma = head.means, head.stddevs
-        m = y.size
-        nll, d_mu, d_sigma = gaussian_nll(mu, sigma, y)
-        reg = 0.0
-        if kl_weight > 0.0:
-            reg = kl_weight * float(standard_normal_kl(mu, sigma).mean())
-            d_mu = d_mu + kl_weight * mu / m
-            d_sigma = d_sigma + kl_weight * (sigma - 1.0 / sigma) / m
-        upstream = self.output.backward(head.raw_gradient(d_mu, d_sigma))
+            # the batch norm cancels the dense bias: it enters only the
+            # running mean, and its gradient is zero
+            z = h @ dense.W
+            mean, var, inv_std, xhat = bn.batch_moments(z, out=z)
+            bn.update_running(mean + dense.b, var)
+            h_out = xhat * bn.gamma
+            h_out += bn.beta
+            np.maximum(h_out, 0.0, out=h_out)
+            saved.append((h, xhat, inv_std, h_out))
+            h = h_out
+        head, nll, reg, dy = self._output_pass(h, y, kl_weight)
         for depth in reversed(range(len(self.hidden))):
             dense, bn = self.hidden[depth]
-            upstream = bn.backward(upstream * (relu_outputs[depth] > 0.0))
+            h_in, xhat, inv_std, h_out = saved[depth]
+            dy *= h_out > 0.0  # through the ReLU
+            bn.dbeta[...] = ones @ dy
+            bn.dgamma[...] = ones @ (dy * xhat)
+            # dx = gamma inv_std (dy - mean(dy) - xhat mean(dy xhat)); the two
+            # means are dbeta / n and dgamma / n
+            dy -= xhat * (bn.dgamma / n)
+            dy -= bn.dbeta / n
+            dy *= bn.gamma * inv_std
+            dense.dW[...] = h_in.T @ dy
+            dense.db[...] = 0.0
             if depth > 0:
-                upstream = dense.backward(upstream)
-        self.hidden[0][0].param_backward(upstream)
+                dy = dy @ dense.W.T
         return head, nll + reg, nll, reg
 
     def infer(self, X: np.ndarray) -> GaussianHead:
@@ -215,17 +267,27 @@ class EnsembleNetwork(_Network):
         ``input_norm.batch_moments`` are ``moments``: updates the running
         statistics, fills the gradient vector and returns (head, mean NLL +
         kl_weight * KL, mean NLL, KL)."""
-        mean, var, inv_std, xhat = moments
-        self.input_norm.update_running(mean, var)
-        h = self.input_norm.scale_shift(xhat, inv_std)
-        hidden = sigmoid(self.variational.forward(h, noise))
-        raw = self.output.forward(hidden)
-        head = GaussianHead(raw_mean=raw[:, 0], raw_scale=raw[:, 1])
-        nll, d_mu, d_sigma = gaussian_nll(head.means, head.stddevs, y)
-        kl = self.variational.forward_kl()
-        upstream = self.output.backward(head.raw_gradient(d_mu, d_sigma))
-        upstream = self.variational.backward(upstream * hidden * (1.0 - hidden), kl_weight)
-        self.input_norm.param_backward(upstream)
+        mean, var, _, xhat = moments
+        norm, variational = self.input_norm, self.variational
+        norm.update_running(mean, var)
+        stddevs = variational.posterior_stddevs()
+        W, b = variational.sampled_weights(noise, stddevs)
+        # (gamma xhat + beta) @ W + b with the batch norm folded into W
+        z = xhat @ (norm.gamma[:, None] * W)
+        z += norm.beta @ W + b
+        hidden = sigmoid(z)
+        head, nll, _, dz = self._output_pass(hidden, y, 0.0)
+        dz *= hidden  # through the sigmoid
+        dz *= 1.0 - hidden
+        # the gradients through the folded weights, from G = xhat^T dz and
+        # s = 1^T dz: dW = gamma G + beta s^T, dgamma = rowsum(G W), dbeta = W s
+        G = xhat.T @ dz
+        s = np.ones(dz.shape[0]) @ dz
+        variational.write_gradients(norm.gamma[:, None] * G + norm.beta[:, None] * s, s,
+                                    noise, stddevs, kl_weight)
+        norm.dgamma[...] = (G * W).sum(axis=1)
+        norm.dbeta[...] = W @ s
+        kl = variational.kl(stddevs)
         return head, nll + kl_weight * kl, nll, kl
 
     def sample_heads(self, X: np.ndarray, noises):

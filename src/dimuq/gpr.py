@@ -2,7 +2,10 @@
 
 Hyperparameters (amplitude, length scale, noise variance) live in log space
 and are fit by restarted maximization of the log marginal likelihood with
-analytic gradients. The reported predictive standard deviation includes the
+analytic gradients (Rasmussen & Williams, *GPML*, 2006, §5.4.1): a fit
+computes the pairwise distances once, and each gradient takes K^-1 from the
+Cholesky factor (LAPACK ``dpotri``) without building an identity or an
+outer product. The reported predictive standard deviation includes the
 learned observation noise; the latent-function deviation is available
 separately. ``scipy.linalg`` is imported inside the functions that use it,
 so importing the package (and the CLI) does not load scipy.
@@ -69,7 +72,14 @@ def gram(X1: np.ndarray, X2: np.ndarray, params: KernelParams,
     if noise:
         if X1.shape[0] != X2.shape[0]:
             raise ConfigError("the noise term needs a square self-gram")
-        K = K + params.noise_level * np.eye(X1.shape[0])
+        _add_to_diagonal(K, params.noise_level)
+    return K
+
+
+def _add_to_diagonal(K: np.ndarray, value: float) -> np.ndarray:
+    """K + value * I in place; the same bits, since x + 0.0 == x off the
+    diagonal."""
+    K.flat[::K.shape[0] + 1] += value
     return K
 
 
@@ -77,7 +87,7 @@ def _chol_with_jitter(K: np.ndarray):
     from scipy.linalg import cholesky
     for jitter in _JITTERS:
         try:
-            L = cholesky(K + jitter * np.eye(K.shape[0]), lower=True)
+            L = cholesky(_add_to_diagonal(K.copy(), jitter), lower=True, overwrite_a=True)
             return L, jitter
         except np.linalg.LinAlgError:
             continue
@@ -86,32 +96,42 @@ def _chol_with_jitter(K: np.ndarray):
     )
 
 
-def log_marginal_likelihood(X, y, params: KernelParams, return_grad: bool = False):
+def log_marginal_likelihood(X, y, params: KernelParams, return_grad: bool = False,
+                            distances: np.ndarray | None = None):
     """LML of the targets under the kernel, optionally with its gradient with
-    respect to (log amplitude, log length scale, log noise)."""
+    respect to (log amplitude, log length scale, log noise). ``distances``
+    are the pairwise Euclidean distances of the rows of X, if the caller
+    has them; a fit computes them once for all its evaluations."""
     from scipy.linalg import cho_solve
+    from scipy.linalg.lapack import dpotri
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     n = y.size
-    distances = np.sqrt(sq_distances(X, X))
+    if distances is None:
+        distances = np.sqrt(sq_distances(X, X))
     K_matern = matern32(distances, params.amplitude, params.length_scale)
-    K = K_matern + params.noise_level * np.eye(n)
-    L, _ = _chol_with_jitter(K)
+    L, _ = _chol_with_jitter(_add_to_diagonal(K_matern.copy(), params.noise_level))
     alpha = cho_solve((L, True), y)
     lml = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * n * np.log(2.0 * np.pi))
     if not return_grad:
         return lml
 
-    K_inv = cho_solve((L, True), np.eye(n))
-    outer = np.outer(alpha, alpha) - K_inv
+    # d lml / d theta = 0.5 (alpha^T dK alpha - sum(K^-1 * dK)). dpotri writes
+    # the lower triangle of K^-1 over L and leaves L's zero upper triangle;
+    # its transpose is C-ordered like the symmetric dK, so one dot product
+    # sums the upper triangle, and the full sum is twice that less the
+    # diagonal.
+    K_inv, info = dpotri(L, lower=True, overwrite_c=True)
+    if info != 0:
+        raise ConditioningError("kernel matrix could not be inverted from its Cholesky factor")
+    upper = K_inv.T
     scaled = _SQRT3 * distances / params.length_scale
-    dK_amplitude = K_matern
     dK_length = params.amplitude * scaled ** 2 * np.exp(-scaled)
-    dK_noise = params.noise_level * np.eye(n)
     grad = np.array([
-        0.5 * float((outer * dK).sum())
-        for dK in (dK_amplitude, dK_length, dK_noise)
-    ])
+        0.5 * (alpha @ (dK @ alpha)
+               - (2.0 * np.vdot(upper, dK) - np.diagonal(K_inv) @ np.diagonal(dK)))
+        for dK in (K_matern, dK_length)
+    ] + [0.5 * params.noise_level * (alpha @ alpha - np.trace(K_inv))])
     return lml, grad
 
 
@@ -151,13 +171,14 @@ def fit_gpr(matrix, init: KernelParams | None = None, n_restarts: int = 0,
     if X.shape[0] == 0:
         raise ConfigError("cannot fit on empty training data")
     init = init or KernelParams()
+    distances = np.sqrt(sq_distances(X, X))
 
     def objective(theta):
         if np.any(np.abs(theta) > 25.0):  # keep exp() in sane range
             return np.inf, np.zeros_like(theta)
         try:
             lml, grad = log_marginal_likelihood(X, y, KernelParams.from_log_vector(theta),
-                                                return_grad=True)
+                                                return_grad=True, distances=distances)
         except ConditioningError:
             return np.inf, np.zeros(3)
         return -lml, -grad

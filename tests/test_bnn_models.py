@@ -72,8 +72,8 @@ class TestElbo:
         model.variational.mu_b[...] = 0.0
         model.variational.rho_W[...] = softplus_inverse(1.0)
         model.variational.rho_b[...] = softplus_inverse(1.0)
-        model.variational.forward(np.zeros((2, 4)), model.draw_noise(np.random.default_rng(0)))
-        assert model.variational.forward_kl() == pytest.approx(0.0, abs=1e-12)
+        stddevs = model.variational.posterior_stddevs()
+        assert model.variational.kl(stddevs) == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_noise_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -121,6 +121,132 @@ class TestHeadNetworkGradients:
         model.output.b[...] = np.array([0.0, -40.0])  # deeply negative raw scale
         head = model.infer(np.zeros((2, 3)))
         assert np.all(head.stddevs > 0)
+
+
+def _gaussian_head_oracle(raw, y, prior_weight):
+    """Mean NLL, output-prior penalty and the gradient with respect to the
+    raw output, from the formulas; stddev = softplus(raw scale) + 1e-6."""
+    m = y.size
+    mu, scale = raw[:, 0], raw[:, 1]
+    sigma = np.log1p(np.exp(-np.abs(scale))) + np.maximum(scale, 0.0) + 1e-6
+    residual = mu - y
+    nll = np.mean(0.5 * np.log(2 * np.pi * sigma ** 2) + residual ** 2 / (2 * sigma ** 2))
+    penalty = prior_weight * np.mean(-np.log(sigma) + 0.5 * (sigma ** 2 + mu ** 2) - 0.5)
+    d_mu = residual / sigma ** 2 / m + prior_weight * mu / m
+    d_sigma = (1 / sigma - residual ** 2 / sigma ** 3) / m + prior_weight * (sigma - 1 / sigma) / m
+    return nll, penalty, np.column_stack([d_mu, d_sigma / (1 + np.exp(-scale))])
+
+
+def _batch_norm_oracle(a, bn):
+    """Training-mode batch norm of ``a``: (xhat, 1/std, batch mean)."""
+    inv_std = 1.0 / np.sqrt(a.var(axis=0) + bn.eps)
+    return (a - a.mean(axis=0)) * inv_std, inv_std, a.mean(axis=0)
+
+
+def _batch_norm_backward_oracle(dy, xhat, inv_std, bn):
+    """(d input, d gamma, d beta) of a training-mode batch norm."""
+    dxhat = dy * bn.gamma
+    dx = inv_std * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
+    return dx, (dy * xhat).sum(axis=0), dy.sum(axis=0)
+
+
+def _vector_in_network_order(model, grads: dict) -> np.ndarray:
+    """Concatenate per-layer gradient lists in the order of ``pack_layers``."""
+    layers = [layer for _, layer in model.named_layers()]
+    depth = max(len(layer.PARAMS) for layer in layers)
+    return np.concatenate([grads[id(layer)][i].ravel() for i in range(depth)
+                           for layer in layers if i < len(layer.PARAMS)])
+
+
+def perturbed(model, seed):
+    """``model`` with every parameter moved off its initial value, so that
+    batch-norm scales, shifts and dense biases all matter."""
+    model.theta[...] += 0.3 * np.random.default_rng(seed).standard_normal(model.theta.size)
+    return model
+
+
+class TestFusedStepsMatchUnfusedOracles:
+    """The fused training passes against per-layer chains written out here,
+    at the shapes the benchmark trains: 200 rows of 16 columns, a (24, 16, 8)
+    head trunk and an 8-unit ensemble layer."""
+
+    def fixture(self):
+        rng = np.random.default_rng(17)
+        return rng.standard_normal((200, 16)), 0.3 * rng.standard_normal(200)
+
+    def test_head_step(self):
+        X, y = self.fixture()
+        model = perturbed(HeadNetwork(16, (24, 16, 8), seed=4), seed=5)
+        kl_weight = 1.0 / 200
+        grads, saved, running_means = {}, [], []
+        h = X
+        for dense, bn in model.hidden:
+            xhat, inv_std, mean = _batch_norm_oracle(h @ dense.W + dense.b, bn)
+            running_means.append(bn.momentum * bn.running_mean + (1 - bn.momentum) * mean)
+            out = np.maximum(bn.gamma * xhat + bn.beta, 0.0)
+            saved.append((h, xhat, inv_std, out))
+            h = out
+        raw = h @ model.output.W + model.output.b
+        nll, penalty, d_raw = _gaussian_head_oracle(raw, y, kl_weight)
+        grads[id(model.output)] = [h.T @ d_raw, d_raw.sum(axis=0)]
+        upstream = d_raw @ model.output.W.T
+        for (dense, bn), (h_in, xhat, inv_std, out) in zip(reversed(model.hidden),
+                                                           reversed(saved)):
+            da, dgamma, dbeta = _batch_norm_backward_oracle(upstream * (out > 0), xhat,
+                                                            inv_std, bn)
+            grads[id(bn)] = [dgamma, dbeta]
+            grads[id(dense)] = [h_in.T @ da, da.sum(axis=0)]
+            upstream = da @ dense.W.T
+        expected = _vector_in_network_order(model, grads)
+
+        _, total, got_nll, got_penalty = model.loss_and_grads(X, y, kl_weight)
+        np.testing.assert_allclose([total, got_nll, got_penalty],
+                                   [nll + penalty, nll, penalty], rtol=1e-10)
+        # the dense biases' gradients are zero up to rounding
+        np.testing.assert_allclose(model.gradient, expected, rtol=1e-10,
+                                   atol=1e-10 * np.abs(expected).max())
+        # the batch norm cancels a dense bias, but its running mean keeps it
+        assert all(np.any(dense.b != 0.0) for dense, _ in model.hidden)
+        for (_, bn), running_mean in zip(model.hidden, running_means):
+            np.testing.assert_allclose(bn.running_mean, running_mean, rtol=1e-10, atol=1e-14)
+
+    def test_ensemble_step(self):
+        X, y = self.fixture()
+        model = perturbed(EnsembleNetwork(16, 8, seed=4), seed=6)
+        layer, bn, output = model.variational, model.input_norm, model.output
+        noise = model.draw_noise(np.random.default_rng(7))
+        kl_weight = 1.0 / 200
+        xhat, _, _ = _batch_norm_oracle(X, bn)
+        h = bn.gamma * xhat + bn.beta
+        sigma_W = np.log1p(np.exp(-np.abs(layer.rho_W))) + np.maximum(layer.rho_W, 0.0)
+        sigma_b = np.log1p(np.exp(-np.abs(layer.rho_b))) + np.maximum(layer.rho_b, 0.0)
+        W = layer.mu_W + sigma_W * noise[0]
+        b = layer.mu_b + sigma_b * noise[1]
+        hidden = 1.0 / (1.0 + np.exp(-(h @ W + b)))
+        raw = hidden @ output.W + output.b
+        nll, _, d_raw = _gaussian_head_oracle(raw, y, 0.0)
+        kl = sum(np.sum(-np.log(s) + 0.5 * (s ** 2 + mu ** 2) - 0.5)
+                 for mu, s in ((layer.mu_W, sigma_W), (layer.mu_b, sigma_b)))
+        dz = (d_raw @ output.W.T) * hidden * (1 - hidden)
+        dW, db = h.T @ dz, dz.sum(axis=0)
+        slope_W = 1.0 / (1.0 + np.exp(-layer.rho_W))
+        slope_b = 1.0 / (1.0 + np.exp(-layer.rho_b))
+        dh = dz @ W.T
+        grads = {
+            id(bn): [(dh * xhat).sum(axis=0), dh.sum(axis=0)],
+            id(layer): [dW + kl_weight * layer.mu_W,
+                        (dW * noise[0] + kl_weight * (sigma_W - 1 / sigma_W)) * slope_W,
+                        db + kl_weight * layer.mu_b,
+                        (db * noise[1] + kl_weight * (sigma_b - 1 / sigma_b)) * slope_b],
+            id(output): [hidden.T @ d_raw, d_raw.sum(axis=0)],
+        }
+        expected = _vector_in_network_order(model, grads)
+
+        _, total, got_nll, got_kl = model.loss_and_grads(bn.batch_moments(X), noise, y,
+                                                         kl_weight)
+        np.testing.assert_allclose([total, got_nll, got_kl],
+                                   [nll + kl_weight * kl, nll, kl], rtol=1e-10)
+        np.testing.assert_allclose(model.gradient, expected, rtol=1e-10)
 
 
 class TestTraining:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dimuq.distances import sq_distances
 from dimuq.errors import ConfigError
 from dimuq.gpr import (
     GprRegressor,
@@ -60,6 +61,12 @@ class TestGram:
         np.testing.assert_array_equal(gram(X, X, params, noise=True),
                                       gram(X, X.copy(), params, noise=True))
 
+    def test_noise_adds_to_the_diagonal_bit_for_bit(self):
+        X = np.random.default_rng(2).uniform(-1, 1, size=(6, 2))
+        params = KernelParams(amplitude=1.3, noise_level=0.2)
+        np.testing.assert_array_equal(gram(X, X, params, noise=True),
+                                      gram(X, X, params) + params.noise_level * np.eye(6))
+
     def test_noise_needs_square_gram(self):
         with pytest.raises(ConfigError):
             gram(np.zeros((3, 2)), np.zeros((1, 2)), KernelParams(), noise=True)
@@ -90,6 +97,35 @@ class TestLogMarginalLikelihood:
                                           return_grad=True)
         numeric = central_difference(lml_of, theta0, h=1e-6)
         np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-9)
+
+    def test_gradient_matches_the_explicit_inverse_formula(self):
+        from scipy.linalg import cho_solve, cholesky
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-1, 1, size=(300, 4))
+        y = np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(300)
+        params = KernelParams(amplitude=0.7, length_scale=1.4, noise_level=0.05)
+        n = y.size
+        # 0.5 * sum((alpha alpha^T - K^-1) * dK), K^-1 solved against the
+        # identity, with the first conditioning jitter (1e-10) on K
+        distances = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        scaled = np.sqrt(3.0) * distances / params.length_scale
+        K_matern = params.amplitude * (1 + scaled) * np.exp(-scaled)
+        L = cholesky(K_matern + (params.noise_level + 1e-10) * np.eye(n), lower=True)
+        alpha = cho_solve((L, True), y)
+        outer = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(n))
+        expected = [0.5 * (outer * dK).sum() for dK in (
+            K_matern, params.amplitude * scaled ** 2 * np.exp(-scaled),
+            params.noise_level * np.eye(n))]
+
+        lml, grad = log_marginal_likelihood(X, y, params, return_grad=True)
+        np.testing.assert_allclose(grad, expected, rtol=1e-9)
+        assert lml == pytest.approx(-0.5 * y @ alpha - np.log(np.diag(L)).sum()
+                                    - 0.5 * n * np.log(2 * np.pi), rel=1e-12)
+        # the distances a fit computes once give the same bits
+        given = log_marginal_likelihood(X, y, params, return_grad=True,
+                                        distances=np.sqrt(sq_distances(X, X)))
+        assert given[0] == lml
+        np.testing.assert_array_equal(given[1], grad)
 
     def test_doubling_targets_scales_data_fit_term_only(self):
         rng = np.random.default_rng(4)

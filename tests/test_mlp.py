@@ -78,6 +78,17 @@ class TestMlp:
         second = MlpRegressor(config).fit(train).predict(queries).values
         np.testing.assert_array_equal(first, second)
 
+    def test_tiny_fit_predictions_are_pinned_bit_for_bit(self):
+        # the MLP shares DenseLayer and pack_layers with the probabilistic
+        # networks; evaluate-point's 0.025 mm tolerance would hide a change
+        # of their arithmetic, so a short L-BFGS fit pins their bits
+        train = smooth_fixture(12, seed=9)
+        model = MlpRegressor(MlpConfig(hidden_sizes=(4, 3), max_iter=25, seed=1)).fit(train)
+        expected = ["0x1.06d83b69962e2p+0", "0x1.295d2eccc261fp+0",
+                    "0x1.e8ee72c5729efp-3", "-0x1.a652c90dff6f8p-3"]
+        assert model.n_iter == 25
+        assert [float(v).hex() for v in model.predict(train.features[:4]).values] == expected
+
     def test_divergence_reports_iteration(self):
         import warnings
         rng = np.random.default_rng(8)
