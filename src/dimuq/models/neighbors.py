@@ -56,8 +56,8 @@ class KnnRegressor(Regressor):
                 raise ConfigError(f"k={k} exceeds {self._y.size} training rows")
         queries = np.atleast_2d(np.asarray(features, dtype=np.float64))
         outs = [np.empty(queries.shape[0]) for _ in ks]
-        # chunked so the (q, n, d) difference tensor stays small
-        chunk = max(1, int(4e6 // max(1, self._X.size)))
+        # chunked so the (q, n, d) difference tensor stays within 2 MB
+        chunk = max(1, int(2.5e5 // max(1, self._X.size)))
         for start in range(0, queries.shape[0], chunk):
             block = queries[start:start + chunk]
             diff = block[:, None, :] - self._X[None, :, :]

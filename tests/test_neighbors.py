@@ -82,6 +82,16 @@ class TestKnn:
                 alone = KnnRegressor(KnnConfig(k=k, metric=metric)).fit(train)
                 assert got.tobytes() == alone.predict(queries).values.tobytes()
 
+    def test_queries_in_several_chunks_match_one_at_a_time(self):
+        # 200 x 16 training values put about 78 queries in one distance chunk
+        rng = np.random.default_rng(9)
+        train = matrix_from_arrays(rng.normal(size=(200, 16)), rng.normal(size=200))
+        queries = rng.normal(size=(200, 16))
+        model = KnnRegressor(KnnConfig(k=5)).fit(train)
+        together = model.predict(queries).values
+        alone = [model.predict(query[None]).values[0] for query in queries]
+        assert together.tobytes() == np.array(alone).tobytes()
+
     def test_path_k_larger_than_n_rejected(self):
         model = KnnRegressor(KnnConfig(k=1)).fit(matrix_from_arrays([[0.0], [1.0]], [0.0, 1.0]))
         with pytest.raises(ConfigError, match="k=3 exceeds 2 training rows"):
