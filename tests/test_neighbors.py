@@ -2,9 +2,46 @@ import numpy as np
 import pytest
 
 from dimuq.errors import ConfigError
-from dimuq.models import KnnConfig, KnnRegressor
+from dimuq.models import KnnConfig, KnnRegressor, neighbors
 
 from helpers import matrix_from_arrays
+
+
+def _stable_ranking_path(X, y, queries, ks, metric):
+    """Each k's predictions from a full stable argsort of every distance row."""
+    diff = queries[:, None, :] - X[None, :, :]
+    if metric == "euclidean":
+        dists = np.sqrt((diff ** 2).sum(axis=2))
+    else:
+        dists = np.abs(diff).sum(axis=2)
+    ranking = np.argsort(dists, axis=1, kind="stable")
+    return dists, [y[ranking[:, :k]].mean(axis=1) for k in ks]
+
+
+def _selection_case(name):
+    """(X, queries, ks) for one selection oracle case."""
+    rng = np.random.default_rng(11)
+    if name == "duplicated_rows":
+        X = rng.integers(0, 3, size=(12, 2)).astype(np.float64)
+        X = np.vstack([X[7:], X, X[:5]])
+        return X, np.vstack([X, rng.integers(0, 3, size=(6, 2))]), [1, 4, 7]
+    if name == "indicator_ties":
+        # 3 coarse continuous columns and 13 one-hot indicators of four
+        # categories, as in the encoded data: many equal distances
+        levels = (4, 3, 3, 3)
+        def encode(m):
+            coarse = np.round(rng.normal(size=(m, 3)), 0)
+            hot = [np.eye(size)[rng.integers(0, size, size=m)] for size in levels]
+            return np.hstack([coarse, *hot])
+        return encode(90), encode(40), [8, 6, 4, 1]
+    if name == "ks_in_any_order":
+        return rng.normal(size=(30, 3)), rng.normal(size=(10, 3)), [4, 8, 6]
+    if name == "k_max_equals_n":
+        X = rng.integers(0, 2, size=(9, 3)).astype(np.float64)
+        return X, rng.integers(0, 2, size=(5, 3)).astype(np.float64), [3, 9, 1]
+    if name == "no_query_rows":
+        return rng.normal(size=(10, 4)), np.empty((0, 4)), [2, 5]
+    raise ValueError(name)
 
 
 class TestKnn:
@@ -83,10 +120,14 @@ class TestKnn:
                 assert got.tobytes() == alone.predict(queries).values.tobytes()
 
     def test_queries_in_several_chunks_match_one_at_a_time(self):
-        # 200 x 16 training values put about 78 queries in one distance chunk
+        # 1000 x 8 training values put 7 queries in one difference chunk and
+        # 125 in one selection block, so 600 queries span 5 blocks of chunks
         rng = np.random.default_rng(9)
-        train = matrix_from_arrays(rng.normal(size=(200, 16)), rng.normal(size=200))
-        queries = rng.normal(size=(200, 16))
+        train = matrix_from_arrays(rng.normal(size=(1000, 8)), rng.normal(size=1000))
+        queries = rng.normal(size=(600, 8))
+        block_rows = neighbors._BLOCK_ELEMENTS // train.n_rows
+        assert queries.shape[0] > 2 * block_rows
+        assert block_rows > neighbors._DIFF_ELEMENTS // train.features.size > 1
         model = KnnRegressor(KnnConfig(k=5)).fit(train)
         together = model.predict(queries).values
         alone = [model.predict(query[None]).values[0] for query in queries]
@@ -96,3 +137,38 @@ class TestKnn:
         model = KnnRegressor(KnnConfig(k=1)).fit(matrix_from_arrays([[0.0], [1.0]], [0.0, 1.0]))
         with pytest.raises(ConfigError, match="k=3 exceeds 2 training rows"):
             model.predict_path([[0.5]], [1, 3])
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("case", ["duplicated_rows", "indicator_ties", "ks_in_any_order",
+                                      "k_max_equals_n", "no_query_rows"])
+    def test_selection_matches_full_stable_ranking(self, case, metric):
+        X, queries, ks = _selection_case(case)
+        y = np.random.default_rng(12).normal(size=X.shape[0])
+        dists, expected = _stable_ranking_path(X, y, queries, ks, metric)
+        if case == "indicator_ties":
+            # the fixture must tie across the k-th place for some rows and
+            # not for others, or the selection's two paths are not both run
+            kth = np.sort(dists, axis=1)[:, max(ks) - 1:max(ks)]
+            crowded = (dists <= kth).sum(axis=1) > max(ks)
+            assert crowded.any() and not crowded.all()
+        model = KnnRegressor(KnnConfig(k=1, metric=metric)).fit(matrix_from_arrays(X, y))
+        got = model.predict_path(queries, ks)
+        assert len(got) == len(ks)
+        for k, value, want in zip(ks, got, expected):
+            assert value.shape == (queries.shape[0],)
+            assert value.tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize("ks", [[0], [-1], [3, 0]])
+    def test_path_k_below_one_rejected(self, ks):
+        model = KnnRegressor(KnnConfig(k=1)).fit(
+            matrix_from_arrays([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0]))
+        with pytest.raises(ConfigError, match=f"k={min(ks)} must be >= 1"):
+            model.predict_path([[0.5]], ks)
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_query_width_must_match_the_fit(self, width):
+        rng = np.random.default_rng(13)
+        model = KnnRegressor(KnnConfig(k=2)).fit(
+            matrix_from_arrays(rng.normal(size=(5, 3)), rng.normal(size=5)))
+        with pytest.raises(ConfigError, match="do not match 3 training columns"):
+            model.predict(rng.normal(size=(2, width)))
