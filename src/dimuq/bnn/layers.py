@@ -4,10 +4,10 @@ point MLP.
 Everything is plain numpy. Each layer holds its parameters and, in the
 arrays its ``GRADS`` names, their gradients, which are written in place. A
 network packs those arrays into one parameter vector and one gradient
-vector with ``pack_layers``. The dense layer has its own forward and
-backward pass, which the MLP chains; the probabilistic networks train with
-fused passes of their own (``models.py``) over the batch-norm and
-variational layers' parameters.
+vector with ``pack_layers``. Each network trains with a fused pass of its
+own (the MLP in ``models/mlp.py``, the probabilistic networks in
+``models.py``): a layer's ``apply`` is its forward map, and the network
+writes the layer's gradients.
 """
 
 from __future__ import annotations
@@ -75,25 +75,10 @@ class DenseLayer(_Trainable):
         self.b = np.zeros(n_out)
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
-        self._x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return x @ self.W + self.b
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Cache-free forward pass, safe under concurrent calls."""
         return x @ self.W + self.b
-
-    def param_backward(self, dz: np.ndarray) -> None:
-        """Write the weight and bias gradients only, for a layer whose input
-        gradient nobody reads."""
-        self.dW[...] = self._x.T @ dz
-        self.db[...] = dz.sum(axis=0)
-
-    def backward(self, dz: np.ndarray) -> np.ndarray:
-        self.param_backward(dz)
-        return dz @ self.W.T
 
 
 class BatchNormLayer(_Trainable):

@@ -178,6 +178,8 @@ class _Uq:
         unknown = sorted(set(self.models) - set(_UQ_FAMILIES))
         if unknown:
             raise ProtocolError(f"unknown uq model(s) {unknown}; known: {list(_UQ_FAMILIES)}")
+        if not 0.0 < self.parity_fraction < 1.0:  # the parity run needs train and test rows
+            raise ProtocolError("uq.parity_fraction must be in (0, 1)")
         for family in _UQ_FAMILIES:
             if {"seed", "n_draws"} & set(getattr(self, family)):
                 raise ProtocolError(f"uq.{family} sets no seed or n_draws: protocol.seed, "
@@ -196,19 +198,19 @@ def _load_config(path) -> _Config:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _resolve_data(config: _Config, data_override=None, schema_override=None):
-    """Return (DesignMatrix, data_path_or_None) from config or CLI overrides."""
-    data_path = data_override or config.data
+def _setup(args):
+    """(config, design matrix, protocol, out directory, manifest) of an
+    ``evaluate``, ``sweep`` or ``uq`` run. The data come from the data path
+    or the synthetic block. A bad config fails first, then data, then protocol."""
+    config = _load_config(args.config)
+    data_path = args.data or config.data
     if data_path:
-        schema_path = schema_override or config.schema
+        schema_path = args.schema or config.schema
         schema = load_schema(schema_path) if schema_path else default_schema()
-        table = load_csv(data_path, schema)
-        return encode(table), data_path
-    synthetic = read_config(_Synthetic, config.synthetic, "synthetic")
-    return encode(generate_synthetic(**vars(synthetic))), None
-
-
-def _resolve_protocol(config: _Config, args) -> Protocol:
+        matrix = encode(load_csv(data_path, schema))
+    else:
+        synthetic = read_config(_Synthetic, config.synthetic, "synthetic")
+        matrix = encode(generate_synthetic(**vars(synthetic)))
     flags = {key: getattr(args, key) for key in ("seed", "workers")
              if getattr(args, key) is not None}
     protocol = read_config(Protocol, {**config.protocol, **flags}, "protocol")
@@ -217,7 +219,8 @@ def _resolve_protocol(config: _Config, args) -> Protocol:
         protocol = ci_preset(protocol)
     elif preset not in (None, "full"):
         raise ProtocolError(f"unknown preset {preset!r}")
-    return protocol
+    manifest = _make_manifest(args.command, args.config, data_path, protocol.seed)
+    return config, matrix, protocol, Path(args.out), manifest
 
 
 def _family_specs(config: _Config) -> list[tuple[str, HyperGrid]]:
@@ -286,12 +289,8 @@ def _each_family(specs, run, out_dir: Path, manifest: RunManifest) -> tuple[list
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
-    matrix, data_path = _resolve_data(config, args.data, args.schema)
-    protocol = _resolve_protocol(config, args)
+    config, matrix, protocol, out_dir, manifest = _setup(args)
     specs = _family_specs(config)
-    out_dir = Path(args.out)
-    manifest = _make_manifest("evaluate", args.config, data_path, protocol.seed)
 
     def evaluate(family, grid):
         report = run_evaluation(family, grid, matrix, protocol, pool=pool)
@@ -310,13 +309,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    matrix, data_path = _resolve_data(config, args.data, args.schema)
-    protocol = _resolve_protocol(config, args)
+    config, matrix, protocol, out_dir, manifest = _setup(args)
     specs = _family_specs(config)
     fractions = sweep_fractions(config.sweep_fractions)
-    out_dir = Path(args.out)
-    manifest = _make_manifest("sweep", args.config, data_path, protocol.seed)
 
     def sweep(family, grid):
         report = fraction_sweep(family, grid, matrix, fractions, protocol, pool=pool)
@@ -359,12 +354,8 @@ def _uq_parity_runs(models: list, fraction: float, matrix, protocol,
 
 
 def cmd_uq(args) -> int:
-    config = _load_config(args.config)
-    matrix, data_path = _resolve_data(config, args.data, args.schema)
-    protocol = _resolve_protocol(config, args)
+    config, matrix, protocol, out_dir, manifest = _setup(args)
     uq = read_config(_Uq, {"seeds": [protocol.seed], **config.uq}, "uq")
-    out_dir = Path(args.out)
-    manifest = _make_manifest("uq", args.config, data_path, protocol.seed)
 
     # built before anything trains, so a bad parameter fails first
     models = [(family, build_model(family, getattr(uq, family), seed=protocol.seed))

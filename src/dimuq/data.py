@@ -282,25 +282,31 @@ def generate_synthetic(n: int, noise_sigma: float, seed: int) -> RecordTable:
     if noise_sigma < 0:
         raise SchemaError("noise_sigma must be >= 0")
     schema = default_schema()
+    levels = {col.name: col.levels for col in schema.columns}
     rng = np.random.default_rng(np.random.SeedSequence([0x51D, seed]))
+
+    def level(name: str) -> str:
+        # the draw rng.choice(levels) makes, without its per-call overhead
+        return levels[name][rng.integers(len(levels[name]))]
+
     rows = []
     for _ in range(n):
         x = float(rng.uniform(-60.0, 60.0))
         y = float(rng.uniform(-60.0, 60.0))
         row = {
-            "hardware_set": str(rng.choice(schema.column("hardware_set").levels)),
-            "material": str(rng.choice(schema.column("material").levels)),
-            "thermal_cure": str(rng.choice(schema.column("thermal_cure").levels)),
-            "layout": str(rng.choice(schema.column("layout").levels)),
+            "hardware_set": level("hardware_set"),
+            "material": level("material"),
+            "thermal_cure": level("thermal_cure"),
+            "layout": level("layout"),
             "x_coordinate": x,
             "y_coordinate": y,
             "r_coordinate": math.hypot(x, y),
-            "unique_build_id": str(rng.choice(schema.column("unique_build_id").levels)),
-            "part_design": str(rng.choice(schema.column("part_design").levels)),
+            "unique_build_id": level("unique_build_id"),
+            "part_design": level("part_design"),
             "nominal_dimension": float(rng.uniform(2.0, 40.0)),
-            "feature_class": str(rng.choice(schema.column("feature_class").levels)),
-            "feature_category": str(rng.choice(schema.column("feature_category").levels)),
-            "unique_feature_id": str(rng.choice(schema.column("unique_feature_id").levels)),
+            "feature_class": level("feature_class"),
+            "feature_category": level("feature_category"),
+            "unique_feature_id": level("unique_feature_id"),
         }
         row["dft"] = synthetic_ground_truth(row) + noise_sigma * float(rng.standard_normal())
         rows.append(row)

@@ -5,10 +5,11 @@ and are fit by restarted maximization of the log marginal likelihood with
 analytic gradients (Rasmussen & Williams, *GPML*, 2006, §5.4.1): a fit
 computes the pairwise distances once, and each gradient takes K^-1 from the
 Cholesky factor (LAPACK ``dpotri``) without building an identity or an
-outer product. The reported predictive standard deviation includes the
-learned observation noise; the latent-function deviation is available
-separately. ``scipy.linalg`` is imported inside the functions that use it,
-so importing the package (and the CLI) does not load scipy.
+outer product. The likelihood and the fitted model condition on the data
+through one Cholesky solve (GPML Algorithm 2.1). The predictive standard
+deviation includes the learned observation noise, unless the caller asks
+for the latent function's. ``scipy.linalg`` is imported on first use, so
+importing the package (and the CLI) does not load scipy.
 """
 
 from __future__ import annotations
@@ -96,23 +97,30 @@ def _chol_with_jitter(K: np.ndarray):
     )
 
 
+def _condition(distances: np.ndarray, y: np.ndarray, params: KernelParams):
+    """GPML Algorithm 2.1 at pairwise ``distances``: the Matern gram, the
+    noisy gram's Cholesky factor and jitter, alpha = K^-1 y and the LML."""
+    from scipy.linalg import cho_solve
+    K_matern = matern32(distances, params.amplitude, params.length_scale)
+    L, jitter = _chol_with_jitter(_add_to_diagonal(K_matern.copy(), params.noise_level))
+    alpha = cho_solve((L, True), y)
+    lml = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum()
+                - 0.5 * y.size * np.log(2.0 * np.pi))
+    return K_matern, L, jitter, alpha, lml
+
+
 def log_marginal_likelihood(X, y, params: KernelParams, return_grad: bool = False,
                             distances: np.ndarray | None = None):
     """LML of the targets under the kernel, optionally with its gradient with
     respect to (log amplitude, log length scale, log noise). ``distances``
     are the pairwise Euclidean distances of the rows of X, if the caller
     has them; a fit computes them once for all its evaluations."""
-    from scipy.linalg import cho_solve
     from scipy.linalg.lapack import dpotri
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
-    n = y.size
     if distances is None:
         distances = np.sqrt(sq_distances(X, X))
-    K_matern = matern32(distances, params.amplitude, params.length_scale)
-    L, _ = _chol_with_jitter(_add_to_diagonal(K_matern.copy(), params.noise_level))
-    alpha = cho_solve((L, True), y)
-    lml = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * n * np.log(2.0 * np.pi))
+    K_matern, L, _, alpha, lml = _condition(distances, y, params)
     if not return_grad:
         return lml
 
@@ -153,13 +161,8 @@ class GprModel:
 
 def build_gpr(matrix, params: KernelParams) -> GprModel:
     """Condition on the training data at fixed kernel parameters."""
-    from scipy.linalg import cho_solve
     X, y = matrix.features, matrix.targets
-    K = gram(X, X, params, noise=True)
-    L, jitter = _chol_with_jitter(K)
-    alpha = cho_solve((L, True), y)
-    lml = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum()
-                - 0.5 * y.size * np.log(2.0 * np.pi))
+    _, L, jitter, alpha, lml = _condition(np.sqrt(sq_distances(X, X)), y, params)
     return GprModel(kernel=params, X_train=X.copy(), chol=L, alpha=alpha,
                     jitter=jitter, log_marginal=lml)
 

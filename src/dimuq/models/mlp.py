@@ -1,8 +1,8 @@
 """Fully connected feed-forward regressor trained full-batch.
 
-Loss is half the mean squared error; the dense layers of ``bnn.layers``
-backpropagate it, and the gradient feeds either Adam or the limited-memory
-quasi-Newton solver.
+Loss is half the mean squared error; ``loss_and_grads`` backpropagates it
+through the dense layers of ``bnn.layers``, and the gradient feeds either
+Adam or the limited-memory quasi-Newton solver.
 """
 
 from __future__ import annotations
@@ -75,17 +75,17 @@ class MlpRegressor(Regressor):
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray) -> float:
         """Half-MSE loss; writes its gradient into ``gradient``."""
-        activations = []
-        h = X
+        inputs = [X]  # each layer's input
         for layer in self.layers[:-1]:
-            h = self._activate(layer.forward(h))
-            activations.append(h)
-        diff = self.layers[-1].forward(h).ravel() - y
+            inputs.append(self._activate(layer.apply(inputs[-1])))
+        diff = self.layers[-1].apply(inputs[-1]).ravel() - y
         loss = 0.5 * float(np.mean(diff ** 2))
         upstream = (diff / y.size)[:, None]
-        for layer, a in zip(reversed(self.layers[1:]), reversed(activations)):
-            upstream = layer.backward(upstream) * self._activate_grad(a)
-        self.layers[0].param_backward(upstream)
+        for layer, h in zip(reversed(self.layers), reversed(inputs)):
+            layer.dW[...] = h.T @ upstream
+            layer.db[...] = upstream.sum(axis=0)
+            if h is not X:  # nothing reads the gradient with respect to X
+                upstream = (upstream @ layer.W.T) * self._activate_grad(h)
         return loss
 
     # -- training --------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 
 KINDS = ("continuous", "categorical")
 ROLES = ("manufacturing_parameter", "feature_descriptor", "target", "ignored")
@@ -22,14 +22,15 @@ class ColumnSpec:
     """One column declaration.
 
     Categorical columns carry an ordered level inventory (at least two
-    entries). ``open_levels`` lets ingestion append unseen levels instead of
-    rejecting them.
+    entries); an integer level is stored as its decimal string.
+    ``open_levels`` lets ingestion append unseen levels instead of rejecting
+    them.
     """
 
     name: str
     kind: str
     role: str
-    levels: tuple[str, ...] = ()
+    levels: tuple[str | int, ...] = ()
     open_levels: bool = False
 
     def __post_init__(self):
@@ -157,21 +158,16 @@ def default_schema() -> DataSchema:
 
 
 def schema_from_dict(doc: dict) -> DataSchema:
+    """The schema a JSON document describes. Each column, then the document,
+    is read as every config block is (``harness.families.read_config``):
+    values are checked, not converted, and an unknown key is an error."""
+    from .harness.families import read_config  # the harness imports this module
     try:
-        columns = tuple(
-            ColumnSpec(
-                name=str(c["name"]),
-                kind=str(c["kind"]),
-                role=str(c["role"]),
-                levels=tuple(str(v) for v in c.get("levels", ())),
-                open_levels=bool(c.get("open_levels", False)),
-            )
-            for c in doc["columns"]
-        )
-        selected = tuple(str(s) for s in doc["selected_inputs"])
-    except (KeyError, TypeError) as exc:
+        columns = [read_config(ColumnSpec, column, f"schema column {i}")
+                   for i, column in enumerate(doc["columns"])]
+        return read_config(DataSchema, {**doc, "columns": columns}, "schema")
+    except (ConfigError, KeyError, TypeError) as exc:
         raise SchemaError(f"malformed schema document: {exc}") from exc
-    return DataSchema(columns=columns, selected_inputs=selected)
 
 
 def load_schema(path) -> DataSchema:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ from dimuq.cli import main
 from dimuq.data import generate_synthetic, write_csv
 from dimuq.errors import ConditioningError
 from dimuq.harness import Fractions, dual_mc_split, evaluation
+from dimuq.schema import default_schema
 
 from helpers import no_iterations, record_pools, record_scaling, row_ids, scaled_splits
 
@@ -55,6 +57,16 @@ class TestIngest:
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,columns\n1,2\n")
         assert run_cli("ingest", "--data", bad, "--out", tmp_path / "o") == 2
+
+    def test_malformed_schema_exits_2(self, synthetic_csv, tmp_path):
+        default = default_schema()
+        columns = [dataclasses.asdict(column) for column in default.columns]
+        columns[1]["open_levels"] = "false"
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": columns,
+                                      "selected_inputs": default.selected_inputs}))
+        assert run_cli("ingest", "--data", synthetic_csv, "--schema", schema,
+                       "--out", tmp_path / "o") == 2
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("ingest", "--data", tmp_path / "nope.csv",
@@ -539,6 +551,9 @@ class TestBadConfig:
         ("sweep", {"sweep_fractions": []}),
         ("sweep", {"sweep_fractions": [0.8, 0.5, 0.3]}),
         ("uq", {"uq": {}}),
+        ("uq", {"uq.parity_fraction": 0.0}),
+        ("uq", {"uq.parity_fraction": 1.0, "uq.fractions": [0.5],
+                "uq.bnn_ensemble": {"epochs": 5}}),
     ])
     def test_exits_3_and_writes_no_report(self, tmp_path, command, overrides):
         config = tmp_path / "config.json"

@@ -153,6 +153,13 @@ class TestFitAndPredict:
         model = fit_gpr(train, init, n_restarts=0, seed=0)
         assert model.log_marginal >= before - 1e-9
 
+    def test_built_model_carries_the_likelihood_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        train = matrix_from_arrays(rng.uniform(-2, 2, (15, 2)), rng.normal(size=15))
+        params = KernelParams(amplitude=1.3, length_scale=0.7, noise_level=0.05)
+        lml = log_marginal_likelihood(train.features, train.targets, params)
+        assert build_gpr(train, params).log_marginal == lml
+
     def test_noise_free_fixture_learns_small_noise(self):
         rng = np.random.default_rng(6)
         X = np.linspace(-1, 1, 14)[:, None]

@@ -95,3 +95,35 @@ class TestDefaultSchema:
             ),
             selected_inputs=("x_coordinate", "material"),
         )
+
+
+def _document(**first_column):
+    return {
+        "columns": [
+            {"name": "m", "kind": "categorical", "role": "manufacturing_parameter",
+             "levels": ["A", "B"], **first_column},
+            {"name": "dft", "kind": "continuous", "role": "target"},
+        ],
+        "selected_inputs": ["m"],
+    }
+
+
+class TestSchemaFromDict:
+    @pytest.mark.parametrize("column", [
+        {"open_levels": "false"},  # bool("false") would open the levels
+        {"levels": "AB"},  # tuple("AB") would give the levels "A" and "B"
+        {"open_level": True},  # misspelt: an unknown key
+    ], ids=["string-open-levels", "string-levels", "misspelt-key"])
+    def test_values_are_checked_not_converted(self, column):
+        with pytest.raises(SchemaError):
+            schema_from_dict(_document(**column))
+
+    @pytest.mark.parametrize("doc", [[], {}, {"columns": 3}, {"columns": [1]},
+                                     {**_document(), "selected_input": ["m"]}])
+    def test_malformed_document_raises_schema_error(self, doc):
+        with pytest.raises(SchemaError):
+            schema_from_dict(doc)
+
+    def test_integer_levels_load_as_strings(self):
+        schema = schema_from_dict(_document(levels=[1, 2]))
+        assert schema.column("m").levels == ("1", "2")
