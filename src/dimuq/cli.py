@@ -19,8 +19,8 @@ from pathlib import Path
 from . import __version__
 # train_head_model, train_ensemble_model, ensemble_predict, fit_scaler and
 # apply_scaler are not called here: perfbench/layers.py wraps these names on
-# this module. The calls go through the registry and scale_split, where the
-# same functions are wrapped.
+# this module. The calls go through the harness's registry and scale_split,
+# where the same functions are wrapped.
 from .bnn import (DEFAULT_DRAWS, ensemble_predict, save_snapshot, train_ensemble_model,
                   train_head_model)
 from .data import apply_scaler, encode, fit_scaler, generate_synthetic, load_csv
@@ -35,18 +35,16 @@ from .errors import (
 )
 from .harness import (
     FAMILY_NAMES,
-    Fractions,
     HyperGrid,
     Protocol,
     build_model,
     ci_preset,
     comparison_table,
     eval_report_to_json,
+    fit_fraction,
     fraction_sweep,
     read_config,
     run_evaluation,
-    scale_split,
-    split_rows,
     sweep_fractions,
     sweep_report_to_csv,
     sweep_report_to_json,
@@ -198,6 +196,12 @@ def _load_config(path) -> _Config:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def _load_table(data_path, schema_path):
+    """The CSV's records under the schema file, or the default schema."""
+    schema = load_schema(schema_path) if schema_path else default_schema()
+    return load_csv(data_path, schema)
+
+
 def _setup(args):
     """(config, design matrix, protocol, out directory, manifest) of an
     ``evaluate``, ``sweep`` or ``uq`` run. The data come from the data path
@@ -205,9 +209,7 @@ def _setup(args):
     config = _load_config(args.config)
     data_path = args.data or config.data
     if data_path:
-        schema_path = args.schema or config.schema
-        schema = load_schema(schema_path) if schema_path else default_schema()
-        matrix = encode(load_csv(data_path, schema))
+        matrix = encode(_load_table(data_path, args.schema or config.schema))
     else:
         synthetic = read_config(_Synthetic, config.synthetic, "synthetic")
         matrix = encode(generate_synthetic(**vars(synthetic)))
@@ -235,8 +237,7 @@ def _family_specs(config: _Config) -> list[tuple[str, HyperGrid]]:
 
 
 def cmd_ingest(args) -> int:
-    schema = load_schema(args.schema) if args.schema else default_schema()
-    table = load_csv(args.data, schema)
+    table = _load_table(args.data, args.schema)
     matrix = encode(table)
     out_dir = Path(args.out)
 
@@ -328,38 +329,12 @@ def cmd_sweep(args) -> int:
         return _each_family(specs, sweep, out_dir, manifest)[1]
 
 
-def _uq_parity_runs(models: list, fraction: float, matrix, protocol,
-                    out_dir: Path) -> None:
-    """Fit the probabilistic models once at training ``fraction`` and emit
-    parity tables (and loss traces / snapshots for the network models)."""
-    train, test = split_rows(matrix, Fractions(fraction, 1.0 - fraction, 0.0),
-                             protocol.seed, 0)
-    train, test = scale_split(train, test, protocol.scaler_method)
-    for family, model in models:
-        model.fit(train)
-        if family == "bnn_ensemble":
-            means, decomposition = model.predict_decomposed(test.features)
-            spread = {"aleatoric": decomposition.aleatoric,
-                      "epistemic": decomposition.epistemic}
-        else:
-            dist = model.predict_dist(test.features)
-            means, spread = dist.means, {"aleatoric": dist.stddevs}
-        _write(out_dir, f"parity_{family}.csv",
-               parity_table(test.targets, means, **spread).to_csv())
-        if family != "gpr":
-            _write(out_dir, f"loss_trace_{family}.csv",
-                   csv_text(("epoch", "nll", "kl", "total"), model.network.loss_trace))
-            save_snapshot(model.network, out_dir / f"snapshot_{family}.npz")
-        print(f"{family}: test RMSE {rmse(means, test.targets):.5f} mm")
-
-
 def cmd_uq(args) -> int:
     config, matrix, protocol, out_dir, manifest = _setup(args)
     uq = read_config(_Uq, {"seeds": [protocol.seed], **config.uq}, "uq")
-
-    # built before anything trains, so a bad parameter fails first
-    models = [(family, build_model(family, getattr(uq, family), seed=protocol.seed))
-              for family in _UQ_FAMILIES if family in uq.models]
+    families = [family for family in _UQ_FAMILIES if family in uq.models]
+    for family in families:  # built before anything trains, so a bad parameter fails first
+        build_model(family, getattr(uq, family), seed=protocol.seed)
 
     if uq.fractions:
         report = uq_trend_study(uq.bnn_ensemble, matrix, uq.fractions,
@@ -368,7 +343,17 @@ def cmd_uq(args) -> int:
         _write(out_dir, "uq_trend.csv", uq_report_to_csv(report))
         print(f"uq trend: {len(report.fractions)} fractions x {len(report.seeds)} seeds")
 
-    _uq_parity_runs(models, uq.parity_fraction, matrix, protocol, out_dir)
+    for family in families:
+        model, test, (means, aleatoric, epistemic) = fit_fraction(
+            family, getattr(uq, family), matrix, uq.parity_fraction, protocol.seed,
+            protocol.scaler_method)
+        _write(out_dir, f"parity_{family}.csv",
+               parity_table(test.targets, means, aleatoric, epistemic).to_csv())
+        if hasattr(model, "network"):
+            _write(out_dir, f"loss_trace_{family}.csv",
+                   csv_text(("epoch", "nll", "kl", "total"), model.network.loss_trace))
+            save_snapshot(model.network, out_dir / f"snapshot_{family}.npz")
+        print(f"{family}: test RMSE {rmse(means, test.targets):.5f} mm")
     _write(out_dir, "manifest.json", manifest.to_json())
     return EXIT_OK
 

@@ -233,22 +233,21 @@ class GprRegressor(ProbabilisticRegressor):
         self.init = init or KernelParams()
         self.n_restarts = n_restarts
         self.seed = seed
-        self.model: GprModel | None = None
 
     def fit(self, matrix) -> "GprRegressor":
         self.model = fit_gpr(matrix, self.init, self.n_restarts, self.seed)
+        self.width = matrix.width
         return self
 
     def predict(self, features) -> Prediction:
         return Prediction(self.predict_dist(features).means)
 
     def predict_dist(self, features) -> PredictiveDistribution:
-        if self.model is None:
-            raise ConfigError("predict before fit")
-        return predict_gpr(self.model, features)
+        queries = self.queries(features)  # before self.model, which a fit sets
+        return predict_gpr(self.model, queries)
 
     def diagnostics(self) -> dict:
-        if self.model is None:
+        if self.width is None:
             return {}
         kernel = self.model.kernel
         return {

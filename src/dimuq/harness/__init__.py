@@ -6,6 +6,7 @@ from .evaluation import (
     SweepReport,
     UqTrendReport,
     ci_preset,
+    fit_fraction,
     fraction_sweep,
     run_evaluation,
     split_rows,
@@ -33,7 +34,7 @@ __all__ = [
     "HyperGrid", "CvResult", "grid_search", "scale_split",
     "Protocol", "ci_preset", "EvalReport", "SweepReport", "UqTrendReport",
     "split_rows", "run_evaluation", "sweep_fractions", "fraction_sweep", "uq_trend_study",
-    "worker_pool",
+    "fit_fraction", "worker_pool",
     "FAMILY_NAMES", "build_model", "read_config",
     "comparison_table",
     "eval_report_to_dict", "eval_report_to_json",

@@ -340,6 +340,18 @@ class UqTrendReport:
 DEFAULT_TREND_FRACTIONS = (0.1, 0.5, 0.8, 0.9, 0.99)
 
 
+def fit_fraction(family: str, params: dict, data: DesignMatrix, fraction: float, seed: int,
+                 scaler_method: str = "zscore", complement: bool = False):
+    """(fitted model, scaled test side, its ``predict_spread``) of ``family``
+    fitted on a ``fraction`` of ``data``, split (as ``split_rows``) and seeded by ``seed``."""
+    train, test = split_rows(data, Fractions(fraction, 1.0 - fraction, 0.0), seed, 0,
+                             complement=complement)
+    train, test = scale_split(train, test, scaler_method)
+    model = build_model(family, params, seed=seed)
+    model.fit(train)
+    return model, test, model.predict_spread(test.features)
+
+
 def uq_trend_study(params: dict, data: DesignMatrix, fractions_list=None,
                    seeds=(0,), scaler_method: str = "zscore") -> UqTrendReport:
     """Train the weight-sampling network at several training fractions and
@@ -360,16 +372,12 @@ def uq_trend_study(params: dict, data: DesignMatrix, fractions_list=None,
     for fraction in fractions_list:
         replicates = []
         for seed in seeds:
-            train, test = split_rows(data, Fractions(fraction, 1.0 - fraction, 0.0), seed, 0,
-                                     complement=True)
-            train, test = scale_split(train, test, scaler_method)
-            model = build_model("bnn_ensemble", params, seed=seed)
-            model.fit(train)
-            means, decomposition = model.predict_decomposed(test.features)
+            model, test, (means, aleatoric, epistemic) = fit_fraction(
+                "bnn_ensemble", params, data, fraction, seed, scaler_method, complement=True)
             replicates.append({
                 "seed": seed,
-                "aleatoric": decomposition.aggregate_aleatoric,
-                "epistemic": decomposition.aggregate_epistemic,
+                "aleatoric": float(aleatoric.mean()),
+                "epistemic": float(epistemic.mean()),
                 "test_rmse": rmse(means, test.targets),
             })
         row = {"fraction": fraction, "replicates": replicates}

@@ -126,28 +126,24 @@ class _NetworkAdapter(ProbabilisticRegressor):
 
     def __init__(self, params):
         self.params = params
-        self.network = None
 
     def diagnostics(self) -> dict:
-        return {} if self.network is None else self.network.diagnostics()
-
-    def _trained(self):
-        if self.network is None:
-            raise ConfigError("predict before fit")
-        return self.network
+        return {} if self.width is None else self.network.diagnostics()
 
 
 class _HeadModelAdapter(_NetworkAdapter):
     def fit(self, matrix):
         self.network = train_head_model(matrix, self.params, epochs=self.params.epochs,
                                         seed=self.params.seed)
+        self.width = matrix.width
         return self
 
     def predict(self, features) -> Prediction:
-        return self._trained().predict(features)
+        return Prediction(self.predict_dist(features).means)
 
     def predict_dist(self, features):
-        return self._trained().predict_dist(features)
+        queries = self.queries(features)  # before self.network, which a fit sets
+        return self.network.predict_dist(queries)
 
 
 class _EnsembleModelAdapter(_NetworkAdapter):
@@ -155,25 +151,28 @@ class _EnsembleModelAdapter(_NetworkAdapter):
         self.network = train_ensemble_model(matrix, self.params,
                                             epochs=self.params.epochs,
                                             seed=self.params.seed)
+        self.width = matrix.width
         return self
 
     def _ensemble(self, features):
         # looked up on dimuq.bnn at call time: perfbench/layers.py wraps it there
         from ..bnn import ensemble_predict
-        return ensemble_predict(self._trained(), features, n_draws=self.params.n_draws,
+        queries = self.queries(features)
+        return ensemble_predict(self.network, queries, n_draws=self.params.n_draws,
                                 seed=self.params.seed)
 
     def predict(self, features) -> Prediction:
         return Prediction(self._ensemble(features).mixture_means())
 
-    def predict_decomposed(self, features):
-        """(mixture means, UncertaintyDecomposition) of one set of draws."""
+    def predict_spread(self, features):
         ensemble = self._ensemble(features)
-        return ensemble.mixture_means(), decompose_uncertainty(ensemble)
+        decomposition = decompose_uncertainty(ensemble)
+        return ensemble.mixture_means(), decomposition.aleatoric, decomposition.epistemic
 
     def predict_dist(self, features):
-        means, decomposition = self.predict_decomposed(features)
-        return PredictiveDistribution(means=means, stddevs=decomposition.total)
+        ensemble = self._ensemble(features)
+        return PredictiveDistribution(means=ensemble.mixture_means(),
+                                      stddevs=decompose_uncertainty(ensemble).total)
 
 
 # family: (parameter dataclass, constructor, path axis). On a path axis a

@@ -78,15 +78,28 @@ class PredictiveDistribution:
 class Regressor:
     """Minimal contract every model family implements.
 
-    ``fit`` consumes an encoded, already-scaled design matrix; ``predict``
-    takes a raw feature array and is deterministic given the fitted state.
+    ``fit`` consumes an encoded, already-scaled design matrix and records its
+    column count as ``width``; ``predict`` reads a raw feature array through
+    ``queries`` and is deterministic given the fitted state.
     """
+
+    width: int | None = None  # the fitted matrix's column count
 
     def fit(self, matrix) -> "Regressor":
         raise NotImplementedError
 
     def predict(self, features) -> Prediction:
         raise NotImplementedError
+
+    def queries(self, features) -> np.ndarray:
+        """``features`` as 2-D float queries of the fitted width, else ConfigError."""
+        if self.width is None:
+            raise ConfigError("predict before fit")
+        queries = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        if queries.ndim != 2 or queries.shape[1] != self.width:
+            raise ConfigError(f"queries of shape {queries.shape} do not match "
+                              f"{self.width} training columns")
+        return queries
 
     def diagnostics(self) -> dict:
         """Optional fitted-state summary carried into evaluation reports."""
@@ -98,6 +111,12 @@ class ProbabilisticRegressor(Regressor):
 
     def predict_dist(self, features) -> PredictiveDistribution:
         raise NotImplementedError
+
+    def predict_spread(self, features):
+        """(means, aleatoric, epistemic or None) per query (mm); by default
+        every stddev of ``predict_dist`` counts as aleatoric."""
+        dist = self.predict_dist(features)
+        return dist.means, dist.stddevs, None
 
 
 def csv_text(header, rows) -> str:

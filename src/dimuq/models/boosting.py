@@ -52,7 +52,6 @@ class _FittedGbt:
 class GradientBoostingRegressor(Regressor):
     def __init__(self, config: GbtConfig | None = None):
         self.config = config or GbtConfig()
-        self._state: _FittedGbt | None = None
 
     def fit(self, matrix) -> "GradientBoostingRegressor":
         cfg = self.config
@@ -75,12 +74,11 @@ class GradientBoostingRegressor(Regressor):
             state.trees.append(tree)
             state.train_losses.append(float(np.mean((y - current) ** 2)))
         self._state = state
+        self.width = matrix.width
         return self
 
     def predict(self, features) -> Prediction:
-        if self._state is None:
-            raise ConfigError("predict before fit")
-        queries = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        queries = self.queries(features)
         out = np.full(queries.shape[0], self._state.base_value)
         for tree in self._state.trees:
             out += self.config.learning_rate * predict_tree(tree, queries)
@@ -89,6 +87,6 @@ class GradientBoostingRegressor(Regressor):
     @property
     def train_losses(self) -> list:
         """Per-stage mean squared training error, recorded during fit."""
-        if self._state is None:
+        if self.width is None:
             raise ConfigError("no training losses before fit")
         return list(self._state.train_losses)

@@ -38,7 +38,6 @@ class RandomForestRegressor(Regressor):
 
     def __init__(self, config: ForestConfig | None = None):
         self.config = config or ForestConfig()
-        self._trees: list | None = None
 
     def fit(self, matrix) -> "RandomForestRegressor":
         cfg = self.config
@@ -58,12 +57,11 @@ class RandomForestRegressor(Regressor):
                 min_samples_leaf=cfg.min_samples_leaf,
                 max_features=max_features, rng=rng,
             ))
+        self.width = matrix.width
         return self
 
     def predict(self, features) -> Prediction:
-        if self._trees is None:
-            raise ConfigError("predict before fit")
-        queries = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        queries = self.queries(features)
         total = np.zeros(queries.shape[0])
         for tree in self._trees:
             total += predict_tree(tree, queries)

@@ -46,8 +46,6 @@ class MlpConfig:
 class MlpRegressor(Regressor):
     def __init__(self, config: MlpConfig | None = None):
         self.config = config or MlpConfig()
-        self.layers: list[DenseLayer] | None = None
-        self.n_iter: int = 0
 
     def init_params(self, n_inputs: int) -> None:
         """Glorot-uniform dense layers; ``theta`` holds all their weights,
@@ -97,6 +95,7 @@ class MlpRegressor(Regressor):
             self._fit_adam(X, y)
         else:
             self._fit_lbfgs(X, y)
+        self.width = matrix.width
         return self
 
     def _fit_adam(self, X, y):
@@ -135,7 +134,4 @@ class MlpRegressor(Regressor):
         self.n_iter = result.n_iter
 
     def predict(self, features) -> Prediction:
-        if self.layers is None:
-            raise ConfigError("predict before fit")
-        queries = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return Prediction(self.forward(queries))
+        return Prediction(self.forward(self.queries(features)))

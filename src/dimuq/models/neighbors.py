@@ -43,14 +43,13 @@ class KnnRegressor(Regressor):
 
     def __init__(self, config: KnnConfig | None = None):
         self.config = config or KnnConfig()
-        self._X: np.ndarray | None = None
-        self._y: np.ndarray | None = None
 
     def fit(self, matrix) -> "KnnRegressor":
         if self.config.k > matrix.n_rows:
             raise ConfigError(f"k={self.config.k} exceeds {matrix.n_rows} training rows")
         self._X = matrix.features
         self._y = matrix.targets
+        self.width = matrix.width
         return self
 
     def predict(self, features) -> Prediction:
@@ -60,18 +59,13 @@ class KnnRegressor(Regressor):
         """Raw predictions for each ``k`` in ``ks`` from one distance pass and
         one ranking of the ``max(ks)`` nearest rows by (distance, training-row
         index); the first ``k`` of them are a fit at that ``k``."""
-        if self._X is None:
-            raise ConfigError("predict before fit")
+        queries = self.queries(features)
         n, width = self._X.shape
         for k in ks:
             if k < 1:
                 raise ConfigError(f"k={k} must be >= 1")
             if k > n:
                 raise ConfigError(f"k={k} exceeds {n} training rows")
-        queries = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if queries.ndim != 2 or queries.shape[1] != width:
-            raise ConfigError(
-                f"queries of shape {queries.shape} do not match {width} training columns")
         k_max = max(ks, default=1)
         outs = [np.empty(queries.shape[0]) for _ in ks]
         diff_rows = max(1, _DIFF_ELEMENTS // max(1, self._X.size))

@@ -68,13 +68,6 @@ def resolve_gamma(gamma, X: np.ndarray) -> float:
 class SvrRegressor(Regressor):
     def __init__(self, config: SvrConfig | None = None):
         self.config = config or SvrConfig()
-        self._X: np.ndarray | None = None
-        self._beta: np.ndarray | None = None
-        self._bias: float = 0.0
-        self._gamma: float = 1.0
-        self.converged: bool = False
-        self.kkt_violation: float = float("inf")
-        self.steps: int = 0
 
     # -- dual machinery -----------------------------------------------------
 
@@ -183,6 +176,7 @@ class SvrRegressor(Regressor):
         self.converged = self.kkt_violation < cfg.tolerance
         self.steps = steps
         self._beta = beta
+        self.width = matrix.width
         if not self.converged:
             warnings.warn(
                 f"SVR did not converge: max KKT violation {self.kkt_violation:.3e}",
@@ -191,24 +185,23 @@ class SvrRegressor(Regressor):
         return self
 
     def predict(self, features) -> Prediction:
-        if self._X is None:
-            raise ConfigError("predict before fit")
-        queries = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        k_cross = rbf_kernel(queries, self._X, self._gamma)
+        k_cross = rbf_kernel(self.queries(features), self._X, self._gamma)
         return Prediction(k_cross @ self._beta + self._bias)
 
     def diagnostics(self) -> dict:
-        if self._beta is None:
+        if self.width is None:
             return {}
         return {"converged": self.converged, "kkt_violation": self.kkt_violation,
                 "steps": self.steps}
 
     @property
     def dual_coefficients(self) -> np.ndarray:
-        if self._beta is None:
+        if self.width is None:
             raise ConfigError("no dual coefficients before fit")
         return self._beta.copy()
 
     @property
     def bias(self) -> float:
+        if self.width is None:
+            raise ConfigError("no bias before fit")
         return self._bias

@@ -372,13 +372,13 @@ class DecisionTreeRegressor(Regressor):
 
     def __init__(self, config: TreeConfig | None = None):
         self.config = config or TreeConfig()
-        self._root: _Node | None = None
 
     def fit(self, matrix) -> "DecisionTreeRegressor":
         cfg = self.config
         self._root = grow_tree(matrix.features, matrix.targets, criterion=cfg.criterion,
                                max_depth=cfg.max_depth,
                                min_samples_leaf=cfg.min_samples_leaf)
+        self.width = matrix.width
         return self
 
     def predict(self, features) -> Prediction:
@@ -387,10 +387,9 @@ class DecisionTreeRegressor(Regressor):
     def predict_path(self, features, depths) -> list[np.ndarray]:
         """Raw predictions of the tree cut at each of ``depths``, none deeper
         than the fitted ``max_depth`` (``None`` is unlimited)."""
-        if self._root is None:
-            raise ConfigError("predict before fit")
+        queries = self.queries(features)
         limit = self.config.max_depth
         for depth in depths:
             if limit is not None and (depth is None or depth > limit):
                 raise ConfigError(f"max_depth={depth} is deeper than the fitted {limit}")
-        return predict_tree(self._root, features, list(depths))
+        return predict_tree(self._root, queries, list(depths))

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from dimuq import synthetic_matrix
 from dimuq.errors import ConfigError
+from dimuq.harness import FAMILY_NAMES, build_model
 from dimuq.metrics import (
     PARITY_HEADER,
     Prediction,
@@ -122,3 +124,39 @@ class TestJsonText:
         assert text == ('{\n  "a": {\n    "c": "x",\n    "d": null\n  },\n'
                         '  "b": [\n    1,\n    2.5\n  ]\n}\n')
         assert json.loads(text) == {"a": {"c": "x", "d": None}, "b": [1, 2.5]}
+
+
+# settings small enough that every family fits in well under a second
+_TINY = {"random_forest": {"n_estimators": 3}, "gbt": {"n_estimators": 3},
+         "mlp": {"max_iter": 20}, "bnn_head": {"epochs": 3},
+         "bnn_ensemble": {"epochs": 3, "n_draws": 2}}
+
+
+def _query_methods(model):
+    """Every way ``model`` answers queries, each as a one-argument call."""
+    methods = [model.predict]
+    if hasattr(model, "predict_dist"):
+        methods += [model.predict_dist, model.predict_spread]
+    if hasattr(model, "predict_path"):
+        axis = "k" if hasattr(model.config, "k") else "max_depth"
+        methods.append(lambda features: model.predict_path(
+            features, [getattr(model.config, axis)]))
+    return methods
+
+
+class TestRegressorContract:
+    """Every family reads its queries through ``Regressor.queries``."""
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_queries_must_follow_a_fit_of_their_width(self, family):
+        data = synthetic_matrix(120, 0.05, 7)
+        model = build_model(family, _TINY.get(family, {}), seed=0)
+        for method in _query_methods(model):
+            with pytest.raises(ConfigError, match="predict before fit"):
+                method(data.features)
+        model.fit(data)
+        for method in _query_methods(model):
+            method(data.features[:3])
+            for width in (1, data.width + 1):
+                with pytest.raises(ConfigError, match="do not match"):
+                    method(np.zeros((3, width)))

@@ -11,10 +11,11 @@ from dimuq.harness import (
     SweepReport,
     UqTrendReport,
     comparison_table,
+    evaluation,
     sweep_report_to_csv,
     uq_report_to_csv,
 )
-from dimuq.metrics import PredictiveDistribution
+from dimuq.metrics import PredictiveDistribution, ProbabilisticRegressor
 
 
 def eval_report(family, average, maximum, minimum, stddev, prediction_range):
@@ -61,7 +62,7 @@ def test_uq_csv_text():
         "0.5,0.05,0.001,0.0125,0.00025,0.0625,0.1428571429\n")
 
 
-class _TracedModel:
+class _TracedModel(ProbabilisticRegressor):
     """Stands in for a trained network model: a hand-written loss trace."""
 
     network = SimpleNamespace(loss_trace=[(0, 1.5, 0.25, 1.75),
@@ -75,7 +76,8 @@ class _TracedModel:
 
 
 def test_loss_trace_csv_text(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "build_model", lambda family, params, seed=0: _TracedModel())
+    # the parity fit builds its model through the harness
+    monkeypatch.setattr(evaluation, "build_model", lambda family, params, seed=0: _TracedModel())
     monkeypatch.setattr(cli, "save_snapshot", lambda network, path: None)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"synthetic": {"n": 40}, "uq": {"models": ["bnn_head"]}}))

@@ -1,6 +1,7 @@
 """The benchmark times the program by wrapping functions on the names its
 callers look up (``perfbench/layers.py``). A refactor that drops or renames
-one of those names fails here, without running the benchmark."""
+one of those names, or moves a wrapped method out of its class into a base
+class, fails here, without running the benchmark."""
 
 import importlib
 import sys
@@ -19,3 +20,7 @@ def test_every_wrap_point_and_protocol_entry_point_resolves(monkeypatch):
     for target in targets:
         owner, attribute = layers.resolve(target)
         assert callable(getattr(owner, attribute)), target
+        if isinstance(owner, type):
+            # install() wraps a method where its class defines it, not
+            # where the class inherits it
+            assert attribute in owner.__dict__, target
