@@ -19,7 +19,6 @@ from .metrics import (
     Prediction,
     PredictiveDistribution,
     combined_noise_floor,
-    parity_table,
     rmse,
 )
 from .schema import ColumnSpec, DataSchema, default_schema, load_schema
@@ -30,6 +29,6 @@ __all__ = [
     "RecordTable", "DesignMatrix", "ScalerState",
     "load_csv", "encode", "fit_scaler", "apply_scaler",
     "generate_synthetic", "synthetic_matrix",
-    "rmse", "combined_noise_floor", "parity_table",
+    "rmse", "combined_noise_floor",
     "Prediction", "PredictiveDistribution", "ParityTable",
 ]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, TrainingError
-from ..metrics import Prediction, PredictiveDistribution
+from ..metrics import PredictiveDistribution
 from ..optim import Adam, RmsProp
 from .layers import (
     STDDEV_FLOOR,
@@ -79,8 +79,7 @@ class GaussianHead:
 class HeadConfig:
     hidden_sizes: tuple[int, ...] = (24, 16, 8)
     learning_rate: float = 0.001
-    kl_weight: float | None = None  # None -> 1 / n_train
-    output_prior_regularizer: bool = True
+    kl_weight: float | None = None  # None -> 1 / n_train; 0 turns the output prior off
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
@@ -235,9 +234,6 @@ class HeadNetwork(_Network):
         head = self.infer(features)
         return PredictiveDistribution(means=head.means, stddevs=head.stddevs)
 
-    def predict(self, features) -> Prediction:
-        return Prediction(self.infer(features).means)
-
 
 class EnsembleNetwork(_Network):
     """Variational-weight network sampled as an ensemble at prediction time."""
@@ -315,8 +311,6 @@ def train_head_model(matrix, config: HeadConfig | None = None,
     """Full-batch Adam on the Gaussian-head network; deterministic given seed."""
     config = config or HeadConfig()
     X, y, kl_weight = _training_data(matrix, config)
-    if not config.output_prior_regularizer:
-        kl_weight = 0.0
     model = HeadNetwork(matrix.width, config.hidden_sizes, seed=seed)
     model._run_epochs(Adam(lr=config.learning_rate), epochs,
                       lambda: model.loss_and_grads(X, y, kl_weight))

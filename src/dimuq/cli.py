@@ -53,7 +53,7 @@ from .harness import (
     uq_trend_study,
     worker_pool,
 )
-from .metrics import csv_text, json_text, parity_table, rmse
+from .metrics import ParityTable, csv_text, json_text, rmse
 from .schema import default_schema, load_schema
 
 EXIT_OK = 0
@@ -74,21 +74,6 @@ def _exit_code(exc: DimuqError) -> int:
     return EXIT_CONFIG
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: str | None
-    config_sha256: str | None
-    data_sha256: str | None
-    seed: int | None
-    package_version: str
-    run_id: str
-    created_utc: str
-
-    def to_json(self) -> str:
-        return json_text(self.__dict__)
-
-
 def _sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -97,22 +82,24 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _make_manifest(command: str, config_path, data_path, seed) -> RunManifest:
+def _make_manifest(command: str, config_path, data_path, seed) -> dict:
+    """The document of a run's ``manifest.json``: content hashes, a run id
+    that depends on nothing else, and the one timestamp of the outputs."""
     config_hash = _sha256_file(config_path) if config_path else None
     data_hash = _sha256_file(data_path) if data_path else None
     run_id = hashlib.sha256(
         f"{command}|{config_hash}|{data_hash}|{seed}".encode()
     ).hexdigest()[:16]
-    return RunManifest(
-        command=command,
-        config_path=str(config_path) if config_path else None,
-        config_sha256=config_hash,
-        data_sha256=data_hash,
-        seed=seed,
-        package_version=__version__,
-        run_id=run_id,
-        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    )
+    return {
+        "command": command,
+        "config_path": str(config_path) if config_path else None,
+        "config_sha256": config_hash,
+        "data_sha256": data_hash,
+        "seed": seed,
+        "package_version": __version__,
+        "run_id": run_id,
+        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
 
 
 def _write(out_dir: Path, name: str, content: str) -> None:
@@ -258,28 +245,29 @@ def cmd_ingest(args) -> int:
         "encoded_width": matrix.width,
         "column_labels": list(matrix.column_labels),
         "level_inventories": inventories,
-        "run_id": manifest.run_id,
+        "run_id": manifest["run_id"],
     }
     _write(out_dir, "summary.json", json_text(summary))
-    _write(out_dir, "manifest.json", manifest.to_json())
+    _write(out_dir, "manifest.json", json_text(manifest))
     print(f"ingested {matrix.n_rows} rows, encoded width {matrix.width}")
     return EXIT_OK
 
 
-def _each_family(specs, run, out_dir: Path, manifest: RunManifest) -> tuple[list, int]:
-    """Call ``run(family, grid)`` for every family. A family whose run raises
-    is recorded in ``failures.json`` and the others still run; the manifest
-    is always written. Returns the successful runs' results and the first
-    failure's exit code (``EXIT_OK`` when none failed)."""
+def _each_family(specs, run, out_dir: Path, manifest: dict) -> tuple[list, int]:
+    """Call ``run(family, settings)`` for every pair of ``specs``: a grid in
+    ``evaluate`` and ``sweep``, a model block in ``uq``. A family whose run
+    raises is recorded in ``failures.json`` and the others still run; the
+    manifest is always written. Returns the successful runs' results and the
+    first failure's exit code (``EXIT_OK`` when none failed)."""
     results = []
     failures = []  # (failure record, exit code) per failed family
-    for family, grid in specs:
+    for family, settings in specs:
         try:
-            results.append(run(family, grid))
+            results.append(run(family, settings))
         except DimuqError as exc:
             failures.append(({"family": family, "error": f"{type(exc).__name__}: {exc}"},
                              _exit_code(exc)))
-    _write(out_dir, "manifest.json", manifest.to_json())
+    _write(out_dir, "manifest.json", json_text(manifest))
     if not failures:
         return results, EXIT_OK
     records = [record for record, _ in failures]
@@ -319,7 +307,7 @@ def cmd_sweep(args) -> int:
         _write(out_dir, f"sweep_{family}.json", sweep_report_to_json(report))
         _write(out_dir, f"sweep_{family}.csv", sweep_report_to_csv(report))
         measured, predicted = min(report.reports, key=lambda r: r.minimum).best_parity
-        _write(out_dir, f"parity_{family}.csv", parity_table(measured, predicted).to_csv())
+        _write(out_dir, f"parity_{family}.csv", ParityTable(measured, predicted).to_csv())
         print(f"{family}: swept {len(report.fractions)} fractions")
 
     # one pool for every family and fraction
@@ -332,9 +320,9 @@ def cmd_sweep(args) -> int:
 def cmd_uq(args) -> int:
     config, matrix, protocol, out_dir, manifest = _setup(args)
     uq = read_config(_Uq, {"seeds": [protocol.seed], **config.uq}, "uq")
-    families = [family for family in _UQ_FAMILIES if family in uq.models]
-    for family in families:  # built before anything trains, so a bad parameter fails first
-        build_model(family, getattr(uq, family), seed=protocol.seed)
+    specs = [(family, getattr(uq, family)) for family in _UQ_FAMILIES if family in uq.models]
+    for family, params in specs:  # built before anything trains, so a bad parameter fails first
+        build_model(family, params, seed=protocol.seed)
 
     if uq.fractions:
         report = uq_trend_study(uq.bnn_ensemble, matrix, uq.fractions,
@@ -343,19 +331,18 @@ def cmd_uq(args) -> int:
         _write(out_dir, "uq_trend.csv", uq_report_to_csv(report))
         print(f"uq trend: {len(report.fractions)} fractions x {len(report.seeds)} seeds")
 
-    for family in families:
+    def parity(family, params):
         model, test, (means, aleatoric, epistemic) = fit_fraction(
-            family, getattr(uq, family), matrix, uq.parity_fraction, protocol.seed,
-            protocol.scaler_method)
+            family, params, matrix, uq.parity_fraction, protocol.seed, protocol.scaler_method)
         _write(out_dir, f"parity_{family}.csv",
-               parity_table(test.targets, means, aleatoric, epistemic).to_csv())
+               ParityTable(test.targets, means, aleatoric, epistemic).to_csv())
         if hasattr(model, "network"):
             _write(out_dir, f"loss_trace_{family}.csv",
                    csv_text(("epoch", "nll", "kl", "total"), model.network.loss_trace))
             save_snapshot(model.network, out_dir / f"snapshot_{family}.npz")
         print(f"{family}: test RMSE {rmse(means, test.targets):.5f} mm")
-    _write(out_dir, "manifest.json", manifest.to_json())
-    return EXIT_OK
+
+    return _each_family(specs, parity, out_dir, manifest)[1]
 
 
 # -- argument parsing -----------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutMismatchError, LevelError, ParseError, SchemaError
+from .errors import ConfigError, LayoutMismatchError, LevelError, ParseError, SchemaError
 from .schema import ColumnSpec, DataSchema, default_schema
 
 SCALER_METHODS = ("zscore", "minmax", "none")
@@ -278,9 +278,9 @@ def generate_synthetic(n: int, noise_sigma: float, seed: int) -> RecordTable:
     identical table.
     """
     if n < 1:
-        raise SchemaError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     if noise_sigma < 0:
-        raise SchemaError("noise_sigma must be >= 0")
+        raise ConfigError("noise_sigma must be >= 0")
     schema = default_schema()
     levels = {col.name: col.levels for col in schema.columns}
     rng = np.random.default_rng(np.random.SeedSequence([0x51D, seed]))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distances import sq_distances
 from .errors import ConditioningError, ConfigError
-from .metrics import Prediction, PredictiveDistribution, ProbabilisticRegressor
+from .metrics import PredictiveDistribution, ProbabilisticRegressor
 from .optim import minimize_lbfgs
 
 _SQRT3 = np.sqrt(3.0)
@@ -35,15 +35,12 @@ class KernelParams:
     amplitude: float = 1.0
     length_scale: float = 1.0
     noise_level: float = 1.0
-    nu: float = 1.5
 
     def __post_init__(self):
         if self.amplitude <= 0 or self.length_scale <= 0:
             raise ConfigError("amplitude and length_scale must be > 0")
         if self.noise_level < 0:
             raise ConfigError("noise_level must be >= 0")
-        if self.nu != 1.5:
-            raise ConfigError("only nu = 1.5 is supported")
 
     def log_vector(self) -> np.ndarray:
         return np.log([self.amplitude, self.length_scale, max(self.noise_level, 1e-300)])
@@ -238,9 +235,6 @@ class GprRegressor(ProbabilisticRegressor):
         self.model = fit_gpr(matrix, self.init, self.n_restarts, self.seed)
         self.width = matrix.width
         return self
-
-    def predict(self, features) -> Prediction:
-        return Prediction(self.predict_dist(features).means)
 
     def predict_dist(self, features) -> PredictiveDistribution:
         queries = self.queries(features)  # before self.model, which a fit sets

@@ -27,7 +27,7 @@ import numpy as np
 # The model calls go through the registry and the scaler calls through
 # scale_split, where the same functions are wrapped.
 from ..bnn import ensemble_predict, train_ensemble_model
-from ..data import DesignMatrix, apply_scaler, fit_scaler
+from ..data import SCALER_METHODS, DesignMatrix, apply_scaler, fit_scaler
 from ..errors import DimuqError, NumericError, ProtocolError, numeric_cause
 from ..metrics import rmse
 from .families import build_model, matches
@@ -56,6 +56,8 @@ class Protocol:
             raise ProtocolError("iteration counts must be >= 1")
         if self.grid_mode not in ("per_inner", "per_outer"):
             raise ProtocolError(f"unknown grid_mode {self.grid_mode!r}")
+        if self.scaler_method not in SCALER_METHODS:
+            raise ProtocolError(f"unknown scaler_method {self.scaler_method!r}")
         if self.k < 2:
             raise ProtocolError("k must be >= 2")
         if self.workers < 1:
@@ -255,14 +257,12 @@ def _aggregate(family: str, grid: HyperGrid, protocol: Protocol, records: list) 
     )
 
 
-def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix,
-                   protocol: Protocol, complement: bool = False,
+def run_evaluation(family: str, grid: HyperGrid, data: DesignMatrix, protocol: Protocol,
                    pool: ProcessPoolExecutor | None = None) -> EvalReport:
     """All outer x inner iterations of the protocol, aggregated into a report.
-    With ``complement`` each iteration tests on every row it did not train on.
     The iterations run on ``pool`` when one is given, else on a pool of
     their own when ``protocol.workers`` > 1."""
-    tasks = _plan(family, grid, data, protocol, complement)
+    tasks = _plan(family, grid, data, protocol, complement=False)
     return _aggregate(family, grid, protocol, _run_tasks(tasks, protocol.workers, pool))
 
 

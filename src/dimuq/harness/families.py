@@ -138,9 +138,6 @@ class _HeadModelAdapter(_NetworkAdapter):
         self.width = matrix.width
         return self
 
-    def predict(self, features) -> Prediction:
-        return Prediction(self.predict_dist(features).means)
-
     def predict_dist(self, features):
         queries = self.queries(features)  # before self.network, which a fit sets
         return self.network.predict_dist(queries)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 
 def rmse(predicted, actual) -> float:
@@ -44,7 +44,7 @@ class Prediction:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if not np.all(np.isfinite(values)):
-            raise ConfigError("prediction contains non-finite values")
+            raise NumericError("prediction contains non-finite values")
 
     def __len__(self) -> int:
         return self.values.size
@@ -67,7 +67,7 @@ class PredictiveDistribution:
         if means.shape != stddevs.shape:
             raise ConfigError("means and stddevs must have equal length")
         if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stddevs))):
-            raise ConfigError("predictive distribution contains non-finite values")
+            raise NumericError("predictive distribution contains non-finite values")
         if np.any(stddevs < 0):
             raise ConfigError("predictive stddevs must be >= 0")
 
@@ -108,6 +108,10 @@ class Regressor:
 
 class ProbabilisticRegressor(Regressor):
     """Adds a per-query predictive distribution on top of point predictions."""
+
+    def predict(self, features) -> Prediction:
+        """By default the means of ``predict_dist``."""
+        return Prediction(self.predict_dist(features).means)
 
     def predict_dist(self, features) -> PredictiveDistribution:
         raise NotImplementedError
@@ -177,8 +181,3 @@ class ParityTable:
         spread = [[None] * len(self) if column is None else column
                   for column in (self.aleatoric, self.epistemic)]
         return csv_text(PARITY_HEADER.split(","), zip(self.measured, self.predicted, *spread))
-
-
-def parity_table(measured, predicted, aleatoric=None, epistemic=None) -> ParityTable:
-    return ParityTable(measured=measured, predicted=predicted,
-                       aleatoric=aleatoric, epistemic=epistemic)

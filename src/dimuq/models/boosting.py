@@ -24,7 +24,6 @@ class GbtConfig:
     max_leaf_nodes: int | None = 30
     max_depth: int | None = None
     subsample: float = 1.0
-    loss: str = "squared_error"
     seed: int = 0
 
     def __post_init__(self):
@@ -34,8 +33,6 @@ class GbtConfig:
             raise ConfigError("n_estimators must be >= 0")
         if not 0.0 < self.subsample <= 1.0:
             raise ConfigError("subsample must be in (0, 1]")
-        if self.loss != "squared_error":
-            raise ConfigError("only squared_error loss is supported")
         if self.max_leaf_nodes is not None and self.max_depth is not None:
             raise ConfigError("set max_leaf_nodes or max_depth, not both")
         if self.max_leaf_nodes is not None and self.max_leaf_nodes < 2:

@@ -31,7 +31,6 @@ class SvrConfig:
     epsilon: float = 0.03
     c: float = 1.0
     gamma: float | str = "scale"
-    kernel: str = "rbf"
     tolerance: float = 1e-3
     max_passes: int = 200
 
@@ -40,8 +39,6 @@ class SvrConfig:
             raise ConfigError("epsilon must be >= 0")
         if self.c <= 0:
             raise ConfigError("c must be > 0")
-        if self.kernel != "rbf":
-            raise ConfigError("only the rbf kernel is supported")
         if isinstance(self.gamma, str) and self.gamma != "scale":
             raise ConfigError(f"unknown gamma mode {self.gamma!r}")
         if not isinstance(self.gamma, str) and self.gamma <= 0:

@@ -205,17 +205,16 @@ def _split_search(columns: np.ndarray, y: np.ndarray, entries: list, criterion: 
 
 
 def _split_nodes(columns: np.ndarray, y: np.ndarray, chosen: list, criterion: str,
-                 min_leaf: int, in_place: bool) -> list:
+                 min_leaf: int) -> list:
     """Split each ``((node, block, start, size, depth), split)`` pair and
     return the entries of the children that can split further, left before
     right.
 
     Each segment is partitioned stably, left rows first, so a child keeps
-    both orders. With ``in_place`` the children's segments replace their
-    parent's in its block, which one search can then read for many nodes;
-    otherwise one node's children get blocks of their own, which saves
-    writing back when nodes are searched one at a time. A child with fewer
-    than ``2 * min_leaf`` rows or constant targets stays a leaf."""
+    both orders. The children's segments always replace their parent's in
+    its block, in place, so one search can read the block for many nodes.
+    A child with fewer than ``2 * min_leaf`` rows or constant targets stays
+    a leaf."""
     stride = y.size
     block = chosen[0][0][1]
     if len(chosen) == 1:  # slices and scalars keep a lone split cheap
@@ -224,12 +223,9 @@ def _split_nodes(columns: np.ndarray, y: np.ndarray, chosen: list, criterion: st
         left, right = _partition(flat, columns[feature * stride:(feature + 1) * stride].take(flat)
                                  <= threshold, len(block))
         n_left = [left.shape[1]]
-        if in_place:
-            block[:, start:start + n_left[0]] = left
-            block[:, start + n_left[0]:start + size] = right
-            places = [(block, start), (block, start + n_left[0])]
-        else:
-            places = [(left, 0), (right, 0)]
+        block[:, start:start + n_left[0]] = left
+        block[:, start + n_left[0]:start + size] = right
+        places = [(block, start), (block, start + n_left[0])]
         y_children = y.take(np.concatenate((left[-1], right[-1])))
     else:  # each row's side, looked up for every column
         starts = [entry[2] for entry, _ in chosen]
@@ -301,8 +297,7 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str = "squared_error",
 
     def split(entries, splits):
         chosen = [(entry, s) for entry, s in zip(entries, splits) if s is not None]
-        return _split_nodes(columns, y_pad, chosen, criterion, min_samples_leaf,
-                            in_place=not pre_order) if chosen else []
+        return _split_nodes(columns, y_pad, chosen, criterion, min_samples_leaf) if chosen else []
 
     # an entry is (node, block, start of its segment, size, depth)
     root = _Node(_leaf_value(y, criterion))

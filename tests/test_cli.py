@@ -13,8 +13,9 @@ import dimuq
 from dimuq import cli, synthetic_matrix
 from dimuq.cli import main
 from dimuq.data import generate_synthetic, write_csv
-from dimuq.errors import ConditioningError
-from dimuq.harness import Fractions, dual_mc_split, evaluation
+from dimuq.errors import ConditioningError, ProtocolError
+from dimuq.harness import (Fractions, HyperGrid, Protocol, dual_mc_split, evaluation,
+                           run_evaluation)
 from dimuq.schema import default_schema
 
 from helpers import no_iterations, record_pools, record_scaling, row_ids, scaled_splits
@@ -435,6 +436,38 @@ class TestPartialFailure:
             "error": "ConditioningError: kernel matrix is not positive definite",
         }]
 
+    def test_failed_uq_model_flushes_the_others(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "synthetic": {"n": 120},
+            "uq": {"models": ["bnn_head", "bnn_ensemble"], "draws": 5,
+                   "bnn_head": {"epochs": 20, "learning_rate": 1e300},
+                   "bnn_ensemble": {"epochs": 20}},
+        }))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run_cli("uq", "--config", config, "--out", out) == cli.EXIT_NUMERIC
+        [failure] = read_json(out / "failures.json")
+        assert failure["family"] == "bnn_head"
+        assert failure["error"].startswith("TrainingError: ")
+        assert (out / "manifest.json").exists()
+        assert not (out / "parity_bnn_head.csv").exists()
+        for name in ("parity_bnn_ensemble.csv", "loss_trace_bnn_ensemble.csv",
+                     "snapshot_bnn_ensemble.npz"):  # the model after it still runs
+            assert (out / name).exists()
+
+    @pytest.mark.parametrize("family", ["knn", "decision_tree", "random_forest", "gbt"])
+    def test_overflowing_predictions_exit_4(self, family):
+        matrix = synthetic_matrix(120, 0.05, 7)
+        matrix = dataclasses.replace(matrix, targets=np.full(matrix.n_rows, 1.6e308))
+        protocol = Protocol(outer_iterations=1, inner_iterations=1, k=2, seed=0)
+        grid = HyperGrid(family, {"n_estimators": [3]} if family in ("random_forest", "gbt")
+                         else {})
+        with np.errstate(all="ignore"), pytest.raises(ProtocolError) as caught:
+            run_evaluation(family, grid, matrix, protocol)
+        assert "NumericError: prediction contains non-finite values" in str(caught.value)
+        assert cli._exit_code(caught.value) == cli.EXIT_NUMERIC
+
     @staticmethod
     def failure(tmp_path, workers, family, grid, code=3) -> str:
         """The error of a one-family evaluate that must exit ``code`` and
@@ -554,6 +587,12 @@ class TestBadConfig:
         ("uq", {"uq.parity_fraction": 0.0}),
         ("uq", {"uq.parity_fraction": 1.0, "uq.fractions": [0.5],
                 "uq.bnn_ensemble": {"epochs": 5}}),
+        ("evaluate", {"protocol.scaler_method": "zscor"}),
+        ("evaluate", {"protocol.scaler_method": "zscor", "protocol.grid_mode": "per_outer",
+                      "families": [{"family": "knn", "grid": {"k": [1, 2]}}]}),
+        ("uq", {"protocol.scaler_method": "zscor"}),
+        ("evaluate", {"synthetic.n": 0}),
+        ("evaluate", {"synthetic.noise_sigma": -1}),
     ])
     def test_exits_3_and_writes_no_report(self, tmp_path, command, overrides):
         config = tmp_path / "config.json"
@@ -578,6 +617,8 @@ class TestBadUqParams:
         {"models": ["bnn_head"], "bnn_head": {"learning_rate": 0}},
         {"models": ["bnn_ensemble"], "bnn_ensemble": {"kl_weight": -0.5}},
         {"models": ["gpr"], "gpr": {"n_restarts": -3}},
+        {"models": ["bnn_head"], "bnn_head": {"output_prior_regularizer": False}},
+        {"models": ["gpr"], "gpr": {"nu": 1.5}},
     ])
     def test_bad_model_block_exits_3_before_training(self, tmp_path, uq):
         config = tmp_path / "config.json"

@@ -14,7 +14,7 @@ from dimuq.data import (
     synthetic_ground_truth,
     write_csv,
 )
-from dimuq.errors import LayoutMismatchError, LevelError, ParseError, SchemaError
+from dimuq.errors import ConfigError, LayoutMismatchError, LevelError, ParseError, SchemaError
 from dimuq.schema import ColumnSpec, DataSchema, default_schema
 
 
@@ -239,9 +239,9 @@ class TestSynthetic:
         assert 0.045 <= residuals.std() <= 0.055
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError):
             generate_synthetic(0, 0.05, seed=1)
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError):
             generate_synthetic(5, -0.1, seed=1)
 
 

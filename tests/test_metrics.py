@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from dimuq import synthetic_matrix
-from dimuq.errors import ConfigError
+from dimuq.errors import ConfigError, NumericError
 from dimuq.harness import FAMILY_NAMES, build_model
 from dimuq.metrics import (
     PARITY_HEADER,
+    ParityTable,
     Prediction,
     PredictiveDistribution,
     combined_noise_floor,
     csv_text,
     json_text,
-    parity_table,
     rmse,
 )
 
@@ -68,7 +68,7 @@ class TestCombinedNoiseFloor:
 
 class TestPredictionTypes:
     def test_prediction_rejects_nan(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(NumericError):
             Prediction(np.array([1.0, np.nan]))
 
     def test_distribution_rejects_negative_stddev(self):
@@ -82,25 +82,25 @@ class TestPredictionTypes:
 
 class TestParityTable:
     def test_three_aligned_points(self):
-        table = parity_table([0.1, 0.2, 0.3], [0.11, 0.19, 0.31])
+        table = ParityTable([0.1, 0.2, 0.3], [0.11, 0.19, 0.31])
         assert len(table) == 3
 
     def test_uncertainty_column_population(self):
-        table = parity_table([0.1], [0.2], aleatoric=[0.05])
+        table = ParityTable([0.1], [0.2], aleatoric=[0.05])
         csv = table.to_csv()
         lines = csv.strip().split("\n")
         assert lines[0] == PARITY_HEADER
         assert lines[1] == "0.1,0.2,0.05,"
 
     def test_both_uncertainty_columns(self):
-        csv = parity_table([0.0], [0.0], aleatoric=[0.1], epistemic=[0.02]).to_csv()
+        csv = ParityTable([0.0], [0.0], aleatoric=[0.1], epistemic=[0.02]).to_csv()
         assert csv.strip().split("\n")[1] == "0,0,0.1,0.02"
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ConfigError):
-            parity_table([0.1, 0.2], [0.1])
+            ParityTable([0.1, 0.2], [0.1])
         with pytest.raises(ConfigError):
-            parity_table([0.1], [0.1], aleatoric=[0.1, 0.2])
+            ParityTable([0.1], [0.1], aleatoric=[0.1, 0.2])
 
 
 class TestCsvText:

@@ -104,8 +104,6 @@ class TestSvr:
             SvrConfig(epsilon=-0.1)
         with pytest.raises(ConfigError):
             SvrConfig(c=0.0)
-        with pytest.raises(ConfigError):
-            SvrConfig(kernel="linear")
 
 
 class TestSecondOrderSelection:
