@@ -165,6 +165,8 @@ class _Uq:
             raise ProtocolError(f"unknown uq model(s) {unknown}; known: {list(_UQ_FAMILIES)}")
         if not 0.0 < self.parity_fraction < 1.0:  # the parity run needs train and test rows
             raise ProtocolError("uq.parity_fraction must be in (0, 1)")
+        if any(not 0.0 < f < 1.0 for f in self.fractions):
+            raise ProtocolError("uq.fractions must lie in (0, 1)")
         for family in _UQ_FAMILIES:
             if {"seed", "n_draws"} & set(getattr(self, family)):
                 raise ProtocolError(f"uq.{family} sets no seed or n_draws: protocol.seed, "
@@ -321,17 +323,20 @@ def cmd_uq(args) -> int:
     config, matrix, protocol, out_dir, manifest = _setup(args)
     uq = read_config(_Uq, {"seeds": [protocol.seed], **config.uq}, "uq")
     specs = [(family, getattr(uq, family)) for family in _UQ_FAMILIES if family in uq.models]
+    if uq.fractions:  # the trend study runs first and, like each model, fails alone
+        specs.insert(0, ("uq_trend", uq.bnn_ensemble))
     for family, params in specs:  # built before anything trains, so a bad parameter fails first
-        build_model(family, params, seed=protocol.seed)
+        build_model("bnn_ensemble" if family == "uq_trend" else family, params,
+                    seed=protocol.seed)
 
-    if uq.fractions:
-        report = uq_trend_study(uq.bnn_ensemble, matrix, uq.fractions,
-                                uq.seeds, scaler_method=protocol.scaler_method)
-        _write(out_dir, "uq_trend.json", uq_report_to_json(report))
-        _write(out_dir, "uq_trend.csv", uq_report_to_csv(report))
-        print(f"uq trend: {len(report.fractions)} fractions x {len(report.seeds)} seeds")
-
-    def parity(family, params):
+    def run(family, params):
+        if family == "uq_trend":
+            report = uq_trend_study(params, matrix, uq.fractions,
+                                    uq.seeds, scaler_method=protocol.scaler_method)
+            _write(out_dir, "uq_trend.json", uq_report_to_json(report))
+            _write(out_dir, "uq_trend.csv", uq_report_to_csv(report))
+            print(f"uq trend: {len(report.fractions)} fractions x {len(report.seeds)} seeds")
+            return
         model, test, (means, aleatoric, epistemic) = fit_fraction(
             family, params, matrix, uq.parity_fraction, protocol.seed, protocol.scaler_method)
         _write(out_dir, f"parity_{family}.csv",
@@ -342,7 +347,7 @@ def cmd_uq(args) -> int:
             save_snapshot(model.network, out_dir / f"snapshot_{family}.npz")
         print(f"{family}: test RMSE {rmse(means, test.targets):.5f} mm")
 
-    return _each_family(specs, parity, out_dir, manifest)[1]
+    return _each_family(specs, run, out_dir, manifest)[1]
 
 
 # -- argument parsing -----------------------------------------------------------

@@ -10,6 +10,17 @@ through one Cholesky solve (GPML Algorithm 2.1). The predictive standard
 deviation includes the learned observation noise, unless the caller asks
 for the latent function's. ``scipy.linalg`` is imported on first use, so
 importing the package (and the CLI) does not load scipy.
+
+Memory: one fit holds four n x n arrays for its whole run and allocates no
+others: the distances, the Matern gram, the length-scale derivative and one
+work matrix. Each likelihood evaluation computes s = sqrt(3) r / l and
+exp(-s) once, into the derivative and the work matrix, and derives the gram
+and the derivative from them. The work matrix then holds the noisy gram,
+its Cholesky factor and K^-1 in turn, and the fitted model keeps it as its
+factor. It is in Fortran order because LAPACK is: ``cholesky`` with
+``overwrite_a`` and ``dpotri`` with ``overwrite_c`` work in place on a
+Fortran-ordered array but copy a C-ordered one. The buffers belong to one
+fit, so no result depends on what ran before.
 """
 
 from __future__ import annotations
@@ -51,73 +62,96 @@ class KernelParams:
         return KernelParams(float(amplitude), float(length_scale), float(noise))
 
 
-def matern32(r, amplitude: float, length_scale: float):
-    """Covariance at distance r: amplitude * (1 + sqrt(3) r / l) exp(-sqrt(3) r / l)."""
-    scaled = _SQRT3 * np.asarray(r, dtype=np.float64) / length_scale
-    return amplitude * (1.0 + scaled) * np.exp(-scaled)
+def matern32(r, amplitude: float, length_scale: float, out=None, scaled=None,
+             decay=None):
+    """Covariance at distance r: amplitude * (1 + s) exp(-s), s = sqrt(3) r / l.
+
+    ``out``, ``scaled`` and ``decay``, arrays of r's shape, receive the
+    covariance, s and exp(-s). ``scaled`` may be r itself, and ``out`` may
+    be ``scaled`` when the caller does not keep s."""
+    r = np.asarray(r, dtype=np.float64)
+    scaled = np.divide(np.multiply(_SQRT3, r, out=scaled), length_scale, out=scaled)
+    decay = np.exp(np.negative(scaled, out=decay), out=decay)
+    product = np.multiply(amplitude, np.add(1.0, scaled, out=out), out=out)
+    return np.multiply(product, decay, out=out)
 
 
-def gram(X1: np.ndarray, X2: np.ndarray, params: KernelParams,
-         noise: bool = False) -> np.ndarray:
-    """Kernel matrix between the rows of X1 and X2. With ``noise`` (a
-    self-gram of the training rows) the white-noise variance is added to the
-    diagonal; it never depends on whether X1 and X2 are the same object."""
+def _distances(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """Euclidean distances, the square root taken in place."""
+    distances = sq_distances(X1, X2)
+    return np.sqrt(distances, out=distances)
+
+
+def gram(X1: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Kernel matrix between the rows of X1 and X2, without the noise term;
+    it never depends on whether X1 and X2 are the same object."""
     X1 = np.atleast_2d(np.asarray(X1, dtype=np.float64))
     X2 = np.atleast_2d(np.asarray(X2, dtype=np.float64))
     if X1.shape[1] != X2.shape[1]:
         raise ConfigError(f"feature dimension mismatch: {X1.shape[1]} vs {X2.shape[1]}")
-    K = matern32(np.sqrt(sq_distances(X1, X2)), params.amplitude, params.length_scale)
-    if noise:
-        if X1.shape[0] != X2.shape[0]:
-            raise ConfigError("the noise term needs a square self-gram")
-        _add_to_diagonal(K, params.noise_level)
-    return K
+    r = _distances(X1, X2)
+    return matern32(r, params.amplitude, params.length_scale, out=r, scaled=r,
+                    decay=np.empty_like(r))
 
 
-def _add_to_diagonal(K: np.ndarray, value: float) -> np.ndarray:
+def _add_to_diagonal(K: np.ndarray, value: float) -> None:
     """K + value * I in place; the same bits, since x + 0.0 == x off the
     diagonal."""
     K.flat[::K.shape[0] + 1] += value
-    return K
 
 
-def _chol_with_jitter(K: np.ndarray):
-    from scipy.linalg import cholesky
+def _kernel_buffers(n: int):
+    """The Matern gram, the length-scale derivative and the work matrix."""
+    return np.empty((n, n)), np.empty((n, n)), np.empty((n, n), order="F")
+
+
+def _condition(distances: np.ndarray, y: np.ndarray, params: KernelParams, buffers):
+    """GPML Algorithm 2.1 at pairwise ``distances``, in the three
+    ``buffers``: the Matern gram, the length-scale derivative
+    amplitude * s^2 exp(-s), the noisy gram's Cholesky factor (in the work
+    matrix) and jitter, alpha = K^-1 y and the LML."""
+    from scipy.linalg import cho_solve, cholesky
+    K_matern, dK_length, work = buffers
+    matern32(distances, params.amplitude, params.length_scale,
+             out=K_matern, scaled=dK_length, decay=work.T)
+    np.multiply(params.amplitude, np.square(dK_length, out=dK_length), out=dK_length)
+    np.multiply(dK_length, work.T, out=dK_length)
     for jitter in _JITTERS:
+        # refilled for every attempt: a failed factorization leaves it
+        # partly overwritten. Noise and jitter are added one at a time,
+        # since (k + noise) + jitter need not round as k + (noise + jitter).
+        work[...] = K_matern
+        _add_to_diagonal(work.T, params.noise_level)
+        _add_to_diagonal(work.T, jitter)
         try:
-            L = cholesky(_add_to_diagonal(K.copy(), jitter), lower=True, overwrite_a=True)
-            return L, jitter
+            L = cholesky(work, lower=True, overwrite_a=True)
+            break
         except np.linalg.LinAlgError:
             continue
-    raise ConditioningError(
-        f"kernel matrix is not positive definite even with jitter {_JITTERS[-1]:g}"
-    )
-
-
-def _condition(distances: np.ndarray, y: np.ndarray, params: KernelParams):
-    """GPML Algorithm 2.1 at pairwise ``distances``: the Matern gram, the
-    noisy gram's Cholesky factor and jitter, alpha = K^-1 y and the LML."""
-    from scipy.linalg import cho_solve
-    K_matern = matern32(distances, params.amplitude, params.length_scale)
-    L, jitter = _chol_with_jitter(_add_to_diagonal(K_matern.copy(), params.noise_level))
+    else:
+        raise ConditioningError(
+            f"kernel matrix is not positive definite even with jitter {_JITTERS[-1]:g}"
+        )
     alpha = cho_solve((L, True), y)
     lml = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum()
                 - 0.5 * y.size * np.log(2.0 * np.pi))
-    return K_matern, L, jitter, alpha, lml
+    return L, jitter, alpha, lml
 
 
 def log_marginal_likelihood(X, y, params: KernelParams, return_grad: bool = False,
-                            distances: np.ndarray | None = None):
+                            distances: np.ndarray | None = None, buffers=None):
     """LML of the targets under the kernel, optionally with its gradient with
     respect to (log amplitude, log length scale, log noise). ``distances``
     are the pairwise Euclidean distances of the rows of X, if the caller
-    has them; a fit computes them once for all its evaluations."""
+    has them, and ``buffers`` the three n x n arrays of ``_kernel_buffers``;
+    a fit makes both once for all its evaluations."""
     from scipy.linalg.lapack import dpotri
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     if distances is None:
-        distances = np.sqrt(sq_distances(X, X))
-    K_matern, L, _, alpha, lml = _condition(distances, y, params)
+        distances = _distances(X, X)
+    buffers = buffers or _kernel_buffers(y.size)
+    L, _, alpha, lml = _condition(distances, y, params, buffers)
     if not return_grad:
         return lml
 
@@ -130,8 +164,7 @@ def log_marginal_likelihood(X, y, params: KernelParams, return_grad: bool = Fals
     if info != 0:
         raise ConditioningError("kernel matrix could not be inverted from its Cholesky factor")
     upper = K_inv.T
-    scaled = _SQRT3 * distances / params.length_scale
-    dK_length = params.amplitude * scaled ** 2 * np.exp(-scaled)
+    K_matern, dK_length, _ = buffers
     grad = np.array([
         0.5 * (alpha @ (dK @ alpha)
                - (2.0 * np.vdot(upper, dK) - np.diagonal(K_inv) @ np.diagonal(dK)))
@@ -156,10 +189,16 @@ class GprModel:
             object.__setattr__(self, name, array)
 
 
-def build_gpr(matrix, params: KernelParams) -> GprModel:
-    """Condition on the training data at fixed kernel parameters."""
+def build_gpr(matrix, params: KernelParams, distances: np.ndarray | None = None,
+              buffers=None) -> GprModel:
+    """Condition on the training data at fixed kernel parameters; a fit
+    passes the distances and buffers of its evaluations, and the model
+    keeps the work matrix as its Cholesky factor."""
     X, y = matrix.features, matrix.targets
-    _, L, jitter, alpha, lml = _condition(np.sqrt(sq_distances(X, X)), y, params)
+    if distances is None:
+        distances = _distances(X, X)
+    L, jitter, alpha, lml = _condition(distances, y, params,
+                                       buffers or _kernel_buffers(y.size))
     return GprModel(kernel=params, X_train=X.copy(), chol=L, alpha=alpha,
                     jitter=jitter, log_marginal=lml)
 
@@ -171,14 +210,16 @@ def fit_gpr(matrix, init: KernelParams | None = None, n_restarts: int = 0,
     if X.shape[0] == 0:
         raise ConfigError("cannot fit on empty training data")
     init = init or KernelParams()
-    distances = np.sqrt(sq_distances(X, X))
+    distances = _distances(X, X)
+    buffers = _kernel_buffers(X.shape[0])
 
     def objective(theta):
         if np.any(np.abs(theta) > 25.0):  # keep exp() in sane range
             return np.inf, np.zeros_like(theta)
         try:
             lml, grad = log_marginal_likelihood(X, y, KernelParams.from_log_vector(theta),
-                                                return_grad=True, distances=distances)
+                                                return_grad=True, distances=distances,
+                                                buffers=buffers)
         except ConditioningError:
             return np.inf, np.zeros(3)
         return -lml, -grad
@@ -196,7 +237,7 @@ def fit_gpr(matrix, init: KernelParams | None = None, n_restarts: int = 0,
     if best_theta is None:
         raise ConditioningError("every optimizer start failed conditioning")
 
-    return build_gpr(matrix, KernelParams.from_log_vector(best_theta))
+    return build_gpr(matrix, KernelParams.from_log_vector(best_theta), distances, buffers)
 
 
 def predict_gpr(model: GprModel, queries, include_noise: bool = True) -> PredictiveDistribution:

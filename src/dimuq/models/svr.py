@@ -50,7 +50,10 @@ class SvrConfig:
 
 
 def rbf_kernel(X1: np.ndarray, X2: np.ndarray, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * sq_distances(X1, X2))
+    """exp(-gamma |a - b|^2), computed in place over the distances."""
+    K = sq_distances(X1, X2)
+    np.multiply(-gamma, K, out=K)
+    return np.exp(K, out=K)
 
 
 def resolve_gamma(gamma, X: np.ndarray) -> float:

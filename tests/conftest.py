@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from dimuq import apply_scaler, fit_scaler, synthetic_matrix
@@ -13,3 +15,19 @@ def scaled_split():
     test = data.take(plan.test)
     scaler = fit_scaler(train)
     return apply_scaler(scaler, train), apply_scaler(scaler, test)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(call, *args, **kwargs)``: the tracemalloc peak, in
+    bytes, of one call, its result included. numpy reports its array
+    buffers to tracemalloc; whatever the call imports counts too, so warm
+    it up first."""
+    def peak(call, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            call(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

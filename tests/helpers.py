@@ -20,6 +20,21 @@ def central_difference(fun, x0, h=1e-6):
     return grad
 
 
+def sq_distances_oracle(X1, X2):
+    """Squared distances as one expression on whole arrays."""
+    sq1 = (X1 ** 2).sum(axis=1)[:, None]
+    sq2 = (X2 ** 2).sum(axis=1)[None, :]
+    return np.maximum(sq1 + sq2 - 2.0 * X1 @ X2.T, 0.0)
+
+
+def noisy_self_gram(X, params):
+    """The training rows' gram with the white-noise variance on its diagonal."""
+    from dimuq.gpr import gram
+    K = gram(X, X, params)
+    K[np.diag_indices_from(K)] += params.noise_level
+    return K
+
+
 def matrix_from_arrays(features, targets) -> DesignMatrix:
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = tuple(f"x{i}" for i in range(features.shape[1]))

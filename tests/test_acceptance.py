@@ -195,10 +195,10 @@ class TestCriterion8Properties:
             X = np.array([[0.0], [0.5], [1.3]])
             y = np.array([0.2, -0.1, 0.4])
             params = KernelParams(amplitude=0.9, length_scale=0.8, noise_level=0.05)
-            from helpers import matrix_from_arrays
+            from helpers import matrix_from_arrays, noisy_self_gram
             model = build_gpr(matrix_from_arrays(X, y), params)
             Q = np.array([[0.2], [0.9]])
-            K_inv = np.linalg.inv(gram(X, X, params, noise=True))
+            K_inv = np.linalg.inv(noisy_self_gram(X, params))
             k_cross = gram(X, Q, params)
             dist = predict_gpr(model, Q)
             np.testing.assert_allclose(dist.means, k_cross.T @ K_inv @ y, atol=1e-8)

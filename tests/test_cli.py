@@ -456,6 +456,31 @@ class TestPartialFailure:
                      "snapshot_bnn_ensemble.npz"):  # the model after it still runs
             assert (out / name).exists()
 
+    def test_failed_trend_study_flushes_the_models(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "synthetic": {"n": 60},
+            "uq": {"models": ["gpr"], "draws": 5, "fractions": [0.5],
+                   "bnn_ensemble": {"epochs": 5, "learning_rate": 1e300}},
+        }))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run_cli("uq", "--config", config, "--out", out) == cli.EXIT_NUMERIC
+        [failure] = read_json(out / "failures.json")
+        assert failure["family"] == "uq_trend"
+        assert failure["error"].startswith("TrainingError: ")
+        assert not (out / "uq_trend.json").exists()
+        assert (out / "manifest.json").exists()
+        assert (out / "parity_gpr.csv").exists()  # the model after it still runs
+
+    def test_trend_fraction_outside_the_unit_interval_exits_3_before_training(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synthetic": {"n": 60},
+                                      "uq": {"models": ["gpr"], "fractions": [1.5]}}))
+        out = tmp_path / "out"
+        assert run_cli("uq", "--config", config, "--out", out) == 3
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("family", ["knn", "decision_tree", "random_forest", "gbt"])
     def test_overflowing_predictions_exit_4(self, family):
         matrix = synthetic_matrix(120, 0.05, 7)

@@ -6,6 +6,7 @@ from dimuq.errors import ConfigError
 from dimuq.gpr import (
     GprRegressor,
     KernelParams,
+    _kernel_buffers,
     build_gpr,
     fit_gpr,
     gram,
@@ -14,7 +15,12 @@ from dimuq.gpr import (
     predict_gpr,
 )
 
-from helpers import central_difference, matrix_from_arrays
+from helpers import (
+    central_difference,
+    matrix_from_arrays,
+    noisy_self_gram,
+    sq_distances_oracle,
+)
 
 
 class TestMatern32:
@@ -35,9 +41,11 @@ class TestMatern32:
 
 class TestGram:
     def test_self_gram_single_point_includes_noise(self):
+        # the conditioned self-gram: amplitude + noise (+ a 1e-10 jitter)
         X = np.array([[0.3, 0.4]])
-        K = gram(X, X, KernelParams(amplitude=1.0, noise_level=1.0), noise=True)
-        np.testing.assert_allclose(K, [[2.0]])
+        model = build_gpr(matrix_from_arrays(X, [0.0]),
+                          KernelParams(amplitude=1.0, noise_level=1.0))
+        np.testing.assert_allclose(model.chol ** 2, [[2.0]])
 
     def test_cross_gram_carries_no_noise(self):
         X = np.array([[0.3, 0.4]])
@@ -54,22 +62,19 @@ class TestGram:
                 r = abs(X[i, 0] - X[j, 0])
                 assert K[i, j] == pytest.approx(matern32(r, 1.4, 0.7), rel=1e-12)
 
-    def test_noise_does_not_depend_on_array_identity(self):
+    def test_gram_does_not_depend_on_array_identity(self):
         X = np.array([[0.3, 0.4], [1.0, -0.2]])
         params = KernelParams(amplitude=1.0, noise_level=0.5)
         np.testing.assert_array_equal(gram(X, X, params), gram(X, X.copy(), params))
-        np.testing.assert_array_equal(gram(X, X, params, noise=True),
-                                      gram(X, X.copy(), params, noise=True))
 
     def test_noise_adds_to_the_diagonal_bit_for_bit(self):
+        # the factor a model keeps is that of gram + noise I + jitter I
+        from scipy.linalg import cholesky
         X = np.random.default_rng(2).uniform(-1, 1, size=(6, 2))
         params = KernelParams(amplitude=1.3, noise_level=0.2)
-        np.testing.assert_array_equal(gram(X, X, params, noise=True),
-                                      gram(X, X, params) + params.noise_level * np.eye(6))
-
-    def test_noise_needs_square_gram(self):
-        with pytest.raises(ConfigError):
-            gram(np.zeros((3, 2)), np.zeros((1, 2)), KernelParams(), noise=True)
+        model = build_gpr(matrix_from_arrays(X, np.zeros(6)), params)
+        expected = cholesky(noisy_self_gram(X, params) + model.jitter * np.eye(6), lower=True)
+        np.testing.assert_array_equal(model.chol, expected)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
@@ -136,11 +141,73 @@ class TestLogMarginalLikelihood:
         lml_1 = log_marginal_likelihood(X, y, params)
         lml_2 = log_marginal_likelihood(X, 2 * y, params)
         # lml = -0.5 q - logdet - c where q is the quadratic form: q scales by 4
-        constant = -np.log(np.diag(np.linalg.cholesky(gram(X, X, params, noise=True)))).sum() \
+        constant = -np.log(np.diag(np.linalg.cholesky(noisy_self_gram(X, params)))).sum() \
             - 0.5 * n * np.log(2 * np.pi)
         q1 = -(lml_1 - constant)
         q2 = -(lml_2 - constant)
         assert q2 == pytest.approx(4 * q1, rel=1e-9)
+
+
+def whole_array_lml(X, y, params):
+    """The LML, its gradient and the jitter, each step a whole-array
+    expression on fresh arrays and the jitter added to a fresh copy."""
+    from scipy.linalg import cho_solve, cholesky
+    from scipy.linalg.lapack import dpotri
+    n = y.size
+    distances = np.sqrt(sq_distances_oracle(X, X))
+    scaled = np.sqrt(3.0) * distances / params.length_scale
+    K_matern = params.amplitude * (1.0 + scaled) * np.exp(-scaled)
+    noisy = K_matern.copy()
+    noisy.flat[::n + 1] += params.noise_level
+    for jitter in (1e-10, 1e-8, 1e-6):
+        attempt = noisy.copy()
+        attempt.flat[::n + 1] += jitter
+        try:
+            L = cholesky(attempt, lower=True, overwrite_a=True)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    alpha = cho_solve((L, True), y)
+    lml = float(-0.5 * y @ alpha - np.log(np.diag(L)).sum() - 0.5 * n * np.log(2.0 * np.pi))
+    K_inv, _ = dpotri(L, lower=True, overwrite_c=True)
+    dK_length = params.amplitude * scaled ** 2 * np.exp(-scaled)
+    grad = np.array([
+        0.5 * (alpha @ (dK @ alpha)
+               - (2.0 * np.vdot(K_inv.T, dK) - np.diagonal(K_inv) @ np.diagonal(dK)))
+        for dK in (K_matern, dK_length)
+    ] + [0.5 * params.noise_level * (alpha @ alpha - np.trace(K_inv))])
+    return lml, grad, jitter
+
+
+class TestKernelBuffers:
+    # rows in triplicate: at amplitude 1e6 and no noise, the first jitter
+    # (1e-10) leaves the gram numerically singular and the second one is used
+    KERNELS = [(0.7, 1.4, 0.05), (1e6, 1.0, 0.0), (2.0, 0.3, 1e-4)]
+
+    def test_likelihood_and_gradient_match_the_whole_array_expressions_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        X = np.vstack([rng.uniform(-1, 1, (20, 2))] * 3)
+        y = np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(60)
+        buffers = _kernel_buffers(60)  # shared, as a fit shares them
+        distances = np.sqrt(sq_distances(X, X))
+        jitters = []
+        for kernel in self.KERNELS:
+            params = KernelParams(*kernel)
+            lml, grad, jitter = whole_array_lml(X, y, params)
+            jitters.append(jitter)
+            for got in (log_marginal_likelihood(X, y, params, return_grad=True),
+                        log_marginal_likelihood(X, y, params, True, distances, buffers)):
+                assert got[0] == lml
+                np.testing.assert_array_equal(got[1], grad)
+            assert build_gpr(matrix_from_arrays(X, y), params).jitter == jitter
+        assert jitters == [1e-10, 1e-8, 1e-10]
+
+    def test_fit_holds_four_kernel_matrices(self, traced_peak):
+        rng = np.random.default_rng(15)
+        X = rng.uniform(-1, 1, (300, 4))
+        train = matrix_from_arrays(X, np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(300))
+        fit_gpr(matrix_from_arrays(X[:5], train.targets[:5]))  # warm-up: scipy imports
+        assert traced_peak(fit_gpr, train) <= 4.5 * 300 * 300 * 8
 
 
 class TestFitAndPredict:
@@ -190,7 +257,7 @@ class TestFitAndPredict:
         params = KernelParams(amplitude=0.9, length_scale=0.8, noise_level=0.05)
         model = build_gpr(matrix_from_arrays(X, y), params)
         # oracle: direct matrix inversion with the same kernel
-        K = gram(X, X, params, noise=True)
+        K = noisy_self_gram(X, params)
         Q = np.array([[0.2], [0.9]])
         k_cross = gram(X, Q, params)
         K_inv = np.linalg.inv(K)

@@ -10,7 +10,18 @@ from dimuq.errors import ConfigError
 from dimuq.models import SvrConfig, SvrRegressor
 from dimuq.models.svr import rbf_kernel, resolve_gamma
 
-from helpers import matrix_from_arrays
+from helpers import matrix_from_arrays, sq_distances_oracle
+
+
+class TestRbfKernel:
+    @pytest.mark.parametrize("n, m, same", [(300, 300, True), (400, 300, False),
+                                            (1, 5, False), (0, 3, False)])
+    def test_matches_the_expression_bit_for_bit(self, n, m, same):
+        rng = np.random.default_rng(n)
+        X1 = rng.standard_normal((n, 16))
+        X2 = X1 if same else rng.standard_normal((m, 16))
+        np.testing.assert_array_equal(rbf_kernel(X1, X2, 0.07),
+                                      np.exp(-0.07 * sq_distances_oracle(X1, X2)))
 
 
 class TestSvr:
