@@ -14,13 +14,7 @@ from .data import (
     load_csv,
     synthetic_matrix,
 )
-from .metrics import (
-    ParityTable,
-    Prediction,
-    PredictiveDistribution,
-    combined_noise_floor,
-    rmse,
-)
+from .metrics import ParityTable, Prediction, PredictiveDistribution, rmse
 from .schema import ColumnSpec, DataSchema, default_schema, load_schema
 
 __all__ = [
@@ -29,6 +23,6 @@ __all__ = [
     "RecordTable", "DesignMatrix", "ScalerState",
     "load_csv", "encode", "fit_scaler", "apply_scaler",
     "generate_synthetic", "synthetic_matrix",
-    "rmse", "combined_noise_floor",
+    "rmse",
     "Prediction", "PredictiveDistribution", "ParityTable",
 ]

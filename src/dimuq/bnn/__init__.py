@@ -1,7 +1,6 @@
 """Probabilistic neural regressors with aleatoric/epistemic decomposition."""
 
 from .layers import BatchNormLayer, DenseLayer, VariationalDenseLayer, softplus, softplus_inverse
-from .losses import kl_diag_gaussians, nll_loss
 from .models import (
     DEFAULT_ENSEMBLE_EPOCHS,
     DEFAULT_HEAD_EPOCHS,
@@ -25,7 +24,6 @@ from .uncertainty import (
 __all__ = [
     "BatchNormLayer", "DenseLayer", "VariationalDenseLayer",
     "softplus", "softplus_inverse",
-    "nll_loss", "kl_diag_gaussians",
     "GaussianHead", "HeadConfig", "EnsembleConfig",
     "DEFAULT_HEAD_EPOCHS", "DEFAULT_ENSEMBLE_EPOCHS", "DEFAULT_DRAWS",
     "HeadNetwork", "EnsembleNetwork",

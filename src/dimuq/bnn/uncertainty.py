@@ -27,7 +27,6 @@ class EnsembleOutput:
 
     means: np.ndarray
     stddevs: np.ndarray
-    seed: int
 
     def __post_init__(self):
         means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
@@ -57,9 +56,6 @@ class UncertaintyDecomposition:
     aleatoric: np.ndarray
     epistemic: np.ndarray
     total: np.ndarray
-    aggregate_aleatoric: float
-    aggregate_epistemic: float
-    aggregate_total: float
 
     def __post_init__(self):
         for name in ("aleatoric", "epistemic", "total"):
@@ -87,7 +83,7 @@ def ensemble_predict(model: EnsembleNetwork, queries, n_draws: int = DEFAULT_DRA
     for d, head in enumerate(model.sample_heads(queries, noises)):
         means[d] = head.means
         stddevs[d] = head.stddevs
-    return EnsembleOutput(means=means, stddevs=stddevs, seed=seed)
+    return EnsembleOutput(means=means, stddevs=stddevs)
 
 
 def decompose_uncertainty(ensemble: EnsembleOutput) -> UncertaintyDecomposition:
@@ -99,13 +95,4 @@ def decompose_uncertainty(ensemble: EnsembleOutput) -> UncertaintyDecomposition:
     aleatoric = np.sqrt(np.mean(ensemble.stddevs ** 2, axis=0))
     epistemic = np.std(ensemble.means, axis=0, ddof=1)
     total = np.sqrt(aleatoric ** 2 + epistemic ** 2)
-    agg_aleatoric = float(aleatoric.mean())
-    agg_epistemic = float(epistemic.mean())
-    return UncertaintyDecomposition(
-        aleatoric=aleatoric,
-        epistemic=epistemic,
-        total=total,
-        aggregate_aleatoric=agg_aleatoric,
-        aggregate_epistemic=agg_epistemic,
-        aggregate_total=float(np.sqrt(agg_aleatoric ** 2 + agg_epistemic ** 2)),
-    )
+    return UncertaintyDecomposition(aleatoric=aleatoric, epistemic=epistemic, total=total)

@@ -167,6 +167,8 @@ class _Uq:
             raise ProtocolError("uq.parity_fraction must be in (0, 1)")
         if any(not 0.0 < f < 1.0 for f in self.fractions):
             raise ProtocolError("uq.fractions must lie in (0, 1)")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ProtocolError("uq.seeds must list at least one seed, each >= 0")
         for family in _UQ_FAMILIES:
             if {"seed", "n_draws"} & set(getattr(self, family)):
                 raise ProtocolError(f"uq.{family} sets no seed or n_draws: protocol.seed, "

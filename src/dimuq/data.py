@@ -318,25 +318,9 @@ def synthetic_matrix(n: int, noise_sigma: float, seed: int) -> DesignMatrix:
     return encode(generate_synthetic(n, noise_sigma, seed))
 
 
-def write_csv(table: RecordTable, path) -> None:
-    """Serialize a record table back to the CSV layout ``load_csv`` reads."""
-    names = [c.name for c in table.schema.columns]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        for row in table.rows:
-            writer.writerow([_format_cell(row[name]) for name in names])
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 __all__ = [
     "RecordTable", "DesignMatrix", "ScalerState",
     "load_csv", "encode", "fit_scaler", "apply_scaler",
-    "generate_synthetic", "synthetic_matrix", "synthetic_ground_truth", "write_csv",
+    "generate_synthetic", "synthetic_matrix", "synthetic_ground_truth",
     "ColumnSpec", "DataSchema", "default_schema",
 ]

@@ -7,9 +7,9 @@ computes the pairwise distances once, and each gradient takes K^-1 from the
 Cholesky factor (LAPACK ``dpotri``) without building an identity or an
 outer product. The likelihood and the fitted model condition on the data
 through one Cholesky solve (GPML Algorithm 2.1). The predictive standard
-deviation includes the learned observation noise, unless the caller asks
-for the latent function's. ``scipy.linalg`` is imported on first use, so
-importing the package (and the CLI) does not load scipy.
+deviation includes the learned observation noise. ``scipy.linalg`` is
+imported on first use, so importing the package (and the CLI) does not load
+scipy.
 
 Memory: one fit holds four n x n arrays for its whole run and allocates no
 others: the distances, the Matern gram, the length-scale derivative and one
@@ -240,12 +240,9 @@ def fit_gpr(matrix, init: KernelParams | None = None, n_restarts: int = 0,
     return build_gpr(matrix, KernelParams.from_log_vector(best_theta), distances, buffers)
 
 
-def predict_gpr(model: GprModel, queries, include_noise: bool = True) -> PredictiveDistribution:
-    """Posterior mean and standard deviation per query.
-
-    With ``include_noise`` the variance carries the learned observation
-    noise; without it, only the latent-function variance remains.
-    """
+def predict_gpr(model: GprModel, queries) -> PredictiveDistribution:
+    """Posterior mean and standard deviation per query, the variance with
+    the learned observation noise."""
     from scipy.linalg import solve_triangular
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != model.X_train.shape[1]:
@@ -255,9 +252,7 @@ def predict_gpr(model: GprModel, queries, include_noise: bool = True) -> Predict
     k_cross = gram(model.X_train, queries, model.kernel)
     means = k_cross.T @ model.alpha
     v = solve_triangular(model.chol, k_cross, lower=True)
-    variances = model.kernel.amplitude - (v ** 2).sum(axis=0)
-    if include_noise:
-        variances = variances + model.kernel.noise_level
+    variances = model.kernel.amplitude - (v ** 2).sum(axis=0) + model.kernel.noise_level
     if np.any(variances < -1e-10):
         raise ConditioningError("predictive variance fell below the numerical guard")
     return PredictiveDistribution(means=means, stddevs=np.sqrt(np.maximum(variances, 0.0)))

@@ -1,8 +1,7 @@
 """Shared regressor contracts, the error metrics used throughout, and the
 one CSV and one JSON writer of every output file.
 
-RMSE in mm is the single accuracy metric; the combined noise floor gives the
-best RMSE any regressor can be expected to reach on this kind of data.
+RMSE in mm is the single accuracy metric.
 """
 
 from __future__ import annotations
@@ -24,13 +23,6 @@ def rmse(predicted, actual) -> float:
     if predicted.shape != actual.shape:
         raise ConfigError(f"length mismatch: {predicted.size} vs {actual.size}")
     return float(np.sqrt(np.mean((predicted - actual) ** 2)))
-
-
-def combined_noise_floor(repeatability: float, measurement_uncertainty: float) -> float:
-    """Root sum of squares of process repeatability and measurement uncertainty."""
-    if repeatability < 0 or measurement_uncertainty < 0:
-        raise ConfigError("noise components must be >= 0")
-    return float(np.hypot(repeatability, measurement_uncertainty))
 
 
 @dataclass(frozen=True)

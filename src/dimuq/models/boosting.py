@@ -8,7 +8,7 @@ either best-first by leaf count or level-wise by depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,13 +39,6 @@ class GbtConfig:
             raise ConfigError("max_leaf_nodes must be >= 2")
 
 
-@dataclass
-class _FittedGbt:
-    base_value: float
-    trees: list = field(default_factory=list)
-    train_losses: list = field(default_factory=list)
-
-
 class GradientBoostingRegressor(Regressor):
     def __init__(self, config: GbtConfig | None = None):
         self.config = config or GbtConfig()
@@ -54,8 +47,10 @@ class GradientBoostingRegressor(Regressor):
         cfg = self.config
         X, y = matrix.features, matrix.targets
         n = matrix.n_rows
-        state = _FittedGbt(base_value=float(y.mean()))
-        current = np.full(n, state.base_value)
+        self.base_value = float(y.mean())
+        self.trees = []
+        self.train_losses = []  # per-stage mean squared training error
+        current = np.full(n, self.base_value)
         for stage in range(cfg.n_estimators):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stage]))
             if cfg.subsample < 1.0:
@@ -68,22 +63,14 @@ class GradientBoostingRegressor(Regressor):
                              max_depth=cfg.max_depth, max_leaf_nodes=cfg.max_leaf_nodes,
                              min_samples_leaf=1)
             current += cfg.learning_rate * predict_tree(tree, X)
-            state.trees.append(tree)
-            state.train_losses.append(float(np.mean((y - current) ** 2)))
-        self._state = state
+            self.trees.append(tree)
+            self.train_losses.append(float(np.mean((y - current) ** 2)))
         self.width = matrix.width
         return self
 
     def predict(self, features) -> Prediction:
         queries = self.queries(features)
-        out = np.full(queries.shape[0], self._state.base_value)
-        for tree in self._state.trees:
+        out = np.full(queries.shape[0], self.base_value)
+        for tree in self.trees:
             out += self.config.learning_rate * predict_tree(tree, queries)
         return Prediction(out)
-
-    @property
-    def train_losses(self) -> list:
-        """Per-stage mean squared training error, recorded during fit."""
-        if self.width is None:
-            raise ConfigError("no training losses before fit")
-        return list(self._state.train_losses)

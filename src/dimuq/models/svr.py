@@ -171,11 +171,11 @@ class SvrRegressor(Regressor):
             steps += 1
 
         lower, upper = self._bias_bounds(beta, f_cache, y, cfg.epsilon, cfg.c)
-        self._bias = float(0.5 * (lower.max() + upper.min()))
+        self.bias = float(0.5 * (lower.max() + upper.min()))
         self.kkt_violation = max(float(lower.max() - upper.min()), 0.0)
         self.converged = self.kkt_violation < cfg.tolerance
         self.steps = steps
-        self._beta = beta
+        self.beta = beta
         self.width = matrix.width
         if not self.converged:
             warnings.warn(
@@ -186,22 +186,10 @@ class SvrRegressor(Regressor):
 
     def predict(self, features) -> Prediction:
         k_cross = rbf_kernel(self.queries(features), self._X, self._gamma)
-        return Prediction(k_cross @ self._beta + self._bias)
+        return Prediction(k_cross @ self.beta + self.bias)
 
     def diagnostics(self) -> dict:
         if self.width is None:
             return {}
         return {"converged": self.converged, "kkt_violation": self.kkt_violation,
                 "steps": self.steps}
-
-    @property
-    def dual_coefficients(self) -> np.ndarray:
-        if self.width is None:
-            raise ConfigError("no dual coefficients before fit")
-        return self._beta.copy()
-
-    @property
-    def bias(self) -> float:
-        if self.width is None:
-            raise ConfigError("no bias before fit")
-        return self._bias

@@ -1,9 +1,11 @@
-"""Shared test utilities: finite differences, tiny hand-built matrices and
-a record of what the harness scales."""
+"""Shared test utilities: finite differences, closed-form oracles, fixture
+files, tiny hand-built matrices and a record of what the harness scales."""
+
+import csv
 
 import numpy as np
 
-from dimuq.data import DesignMatrix
+from dimuq.data import DesignMatrix, RecordTable
 from dimuq.harness import evaluation, search
 
 
@@ -33,6 +35,29 @@ def noisy_self_gram(X, params):
     K = gram(X, X, params)
     K[np.diag_indices_from(K)] += params.noise_level
     return K
+
+
+def kl_diag_gaussians(mu_q, sigma_q, mu_p, sigma_p) -> float:
+    """KL(q || p) between diagonal Gaussians, summed over parameters (nats):
+    the closed form that ``standard_normal_kl``'s terms must sum to."""
+    mu_q, sigma_q, mu_p, sigma_p = (np.asarray(a, dtype=np.float64).ravel()
+                                    for a in (mu_q, sigma_q, mu_p, sigma_p))
+    terms = (np.log(sigma_p / sigma_q)
+             + (sigma_q ** 2 + (mu_q - mu_p) ** 2) / (2.0 * sigma_p ** 2)
+             - 0.5)
+    return float(terms.sum())
+
+
+def write_csv(table: RecordTable, path) -> None:
+    """Write a record table in the CSV layout ``load_csv`` reads, floats to
+    12 significant digits."""
+    names = [c.name for c in table.schema.columns]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(names)
+        for row in table.rows:
+            writer.writerow([format(row[name], ".12g") if isinstance(row[name], float)
+                             else str(row[name]) for name in names])
 
 
 def matrix_from_arrays(features, targets) -> DesignMatrix:

@@ -80,8 +80,8 @@ class TestGradientBoosting:
         config = GbtConfig(learning_rate=0.25, n_estimators=5, max_leaf_nodes=4)
         model = GradientBoostingRegressor(config).fit(train)
         queries = train.features[:7]
-        manual = np.full(7, model._state.base_value)
-        for tree in model._state.trees:
+        manual = np.full(7, model.base_value)
+        for tree in model.trees:
             manual += config.learning_rate * predict_tree(tree, queries)
         np.testing.assert_allclose(model.predict(queries).values, manual, rtol=1e-12)
 

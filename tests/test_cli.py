@@ -12,13 +12,14 @@ import pytest
 import dimuq
 from dimuq import cli, synthetic_matrix
 from dimuq.cli import main
-from dimuq.data import generate_synthetic, write_csv
+from dimuq.data import generate_synthetic
 from dimuq.errors import ConditioningError, ProtocolError
 from dimuq.harness import (Fractions, HyperGrid, Protocol, dual_mc_split, evaluation,
                            run_evaluation)
 from dimuq.schema import default_schema
 
-from helpers import no_iterations, record_pools, record_scaling, row_ids, scaled_splits
+from helpers import (no_iterations, record_pools, record_scaling, row_ids, scaled_splits,
+                     write_csv)
 
 
 @pytest.fixture()
@@ -480,6 +481,16 @@ class TestPartialFailure:
         out = tmp_path / "out"
         assert run_cli("uq", "--config", config, "--out", out) == 3
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("seeds", [[], [-1]])
+    def test_bad_trend_seeds_exit_3_before_training(self, tmp_path, seeds):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synthetic": {"n": 60}, "uq": {
+            "models": ["gpr"], "draws": 5, "fractions": [0.5], "seeds": seeds,
+            "bnn_ensemble": {"epochs": 5}}}))
+        out = tmp_path / "out"
+        assert run_cli("uq", "--config", config, "--out", out) == 3
+        assert not list(out.glob("parity_*.csv"))
 
     @pytest.mark.parametrize("family", ["knn", "decision_tree", "random_forest", "gbt"])
     def test_overflowing_predictions_exit_4(self, family):

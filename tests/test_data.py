@@ -12,10 +12,11 @@ from dimuq.data import (
     generate_synthetic,
     load_csv,
     synthetic_ground_truth,
-    write_csv,
 )
 from dimuq.errors import ConfigError, LayoutMismatchError, LevelError, ParseError, SchemaError
 from dimuq.schema import ColumnSpec, DataSchema, default_schema
+
+from helpers import write_csv
 
 
 def tiny_schema():

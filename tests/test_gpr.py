@@ -313,17 +313,6 @@ class TestFitAndPredict:
         assert np.all(dist.stddevs ** 2 <= upper + 1e-9)
         assert np.all(dist.stddevs >= 0)
 
-    def test_latent_stddev_excludes_noise(self):
-        rng = np.random.default_rng(11)
-        train = matrix_from_arrays(rng.uniform(-1, 1, (8, 1)),
-                                   rng.standard_normal(8) * 0.2)
-        model = fit_gpr(train, KernelParams(), n_restarts=0, seed=0)
-        Q = rng.uniform(-1, 1, (4, 1))
-        with_noise = predict_gpr(model, Q, include_noise=True)
-        latent = predict_gpr(model, Q, include_noise=False)
-        np.testing.assert_allclose(with_noise.stddevs ** 2 - latent.stddevs ** 2,
-                                   model.kernel.noise_level, rtol=1e-8)
-
     def test_regressor_contract_adapter(self):
         rng = np.random.default_rng(12)
         train = matrix_from_arrays(rng.uniform(-1, 1, (10, 2)),

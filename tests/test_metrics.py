@@ -11,7 +11,6 @@ from dimuq.metrics import (
     ParityTable,
     Prediction,
     PredictiveDistribution,
-    combined_noise_floor,
     csv_text,
     json_text,
     rmse,
@@ -44,26 +43,6 @@ class TestRmse:
     def test_empty_input(self):
         with pytest.raises(ConfigError):
             rmse([], [])
-
-
-class TestCombinedNoiseFloor:
-    def test_reference_components(self):
-        assert combined_noise_floor(0.047, 0.015) == pytest.approx(0.049335585534176, abs=1e-12)
-
-    def test_zero_component_is_identity(self):
-        assert combined_noise_floor(0.0, 0.033) == 0.033
-
-    def test_pythagorean_triple(self):
-        assert combined_noise_floor(0.03, 0.04) == pytest.approx(0.05, abs=1e-15)
-
-    def test_monotone_in_both_arguments(self):
-        base = combined_noise_floor(0.02, 0.03)
-        assert combined_noise_floor(0.025, 0.03) >= base
-        assert combined_noise_floor(0.02, 0.035) >= base
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            combined_noise_floor(-0.01, 0.02)
 
 
 class TestPredictionTypes:

@@ -36,7 +36,7 @@ class TestSvr:
         train = matrix_from_arrays(rng.uniform(-1, 1, (12, 2)), np.full(12, 0.42))
         model = SvrRegressor(SvrConfig(epsilon=0.03)).fit(train)
         assert model.bias == pytest.approx(0.42)
-        np.testing.assert_array_equal(model.dual_coefficients, 0.0)
+        np.testing.assert_array_equal(model.beta, 0.0)
         np.testing.assert_allclose(model.predict(rng.uniform(-1, 1, (5, 2))).values,
                                    0.42, rtol=1e-12)
 
@@ -58,7 +58,7 @@ class TestSvr:
             bounds=[(-config.c, config.c)] * 25,
             options={"maxiter": 2000, "ftol": 1e-14},
         )
-        ours = negative_dual(model.dual_coefficients)
+        ours = negative_dual(model.beta)
         assert ours <= reference.fun + 1e-6
 
     def test_kkt_complementarity_inside_tube(self):
@@ -70,7 +70,7 @@ class TestSvr:
         assert model.converged
         residuals = y - model.predict(X).values
         strictly_inside = np.abs(residuals) < config.epsilon - config.tolerance
-        np.testing.assert_allclose(model.dual_coefficients[strictly_inside], 0.0,
+        np.testing.assert_allclose(model.beta[strictly_inside], 0.0,
                                    atol=1e-8)
 
     def test_dual_coefficients_respect_box_and_balance(self):
@@ -79,7 +79,7 @@ class TestSvr:
         y = np.tanh(X).sum(axis=1) + 0.05 * rng.standard_normal(30)
         config = SvrConfig(epsilon=0.02, c=0.5)
         model = SvrRegressor(config).fit(matrix_from_arrays(X, y))
-        beta = model.dual_coefficients
+        beta = model.beta
         assert np.all(np.abs(beta) <= config.c + 1e-12)
         assert abs(beta.sum()) < 1e-10
 
@@ -130,7 +130,7 @@ class TestSecondOrderSelection:
         model = SvrRegressor(config).fit(scaled_fixture)
         assert model.converged
         assert model.kkt_violation < config.tolerance
-        beta = model.dual_coefficients
+        beta = model.beta
         assert np.all(np.abs(beta) <= config.c + 1e-12)
         assert abs(beta.sum()) < 1e-10
 
@@ -153,7 +153,7 @@ class TestSecondOrderSelection:
             bounds=[(-config.c, config.c)] * 25,
             options={"maxiter": 2000, "ftol": 1e-14},
         )
-        beta = model.dual_coefficients
+        beta = model.beta
         allowed = 0.5 * model.kkt_violation * np.abs(beta - reference.x).sum()
         assert negative_dual(beta) <= reference.fun + allowed + 1e-6
 
