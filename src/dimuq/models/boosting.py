@@ -47,6 +47,8 @@ class GradientBoostingRegressor(Regressor):
         cfg = self.config
         X, y = matrix.features, matrix.targets
         n = matrix.n_rows
+        if n == 0:
+            raise ConfigError("cannot fit on empty training data")
         self.base_value = float(y.mean())
         self.trees = []
         self.train_losses = []  # per-stage mean squared training error

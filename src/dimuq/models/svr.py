@@ -143,6 +143,8 @@ class SvrRegressor(Regressor):
         cfg = self.config
         X, y = matrix.features, matrix.targets
         n = matrix.n_rows
+        if n == 0:
+            raise ConfigError("cannot fit on empty training data")
         self._gamma = resolve_gamma(cfg.gamma, X)
         self._X = X
         K = rbf_kernel(X, X, self._gamma)

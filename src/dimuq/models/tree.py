@@ -15,15 +15,15 @@ column 15 (``feature_category=outer``), not on its complement, column 14.
 
 One search scores a list of nodes at once. The growth order per mode:
 
-- depth-limited without feature draws (decision trees, depth-bounded
-  boosting) searches a whole level per call;
-- depth-limited with per-node feature draws (the random forest) searches
-  one node per call, in pre-order, because each search draws its features
-  from the tree's stream; searching a level at once would hand the same
-  draws to other nodes and grow another tree;
+- depth-limited (decision trees, depth-bounded boosting) searches a whole
+  level per call;
 - best-first up to a leaf budget (the boosting machine's) searches the two
   children of each split as they are created, and splits the queued node
-  of largest gain, the earliest created on ties.
+  of largest gain, the earliest created on ties;
+- the random forest's trees, each drawing every node's feature subset from
+  its own stream in pre-order, grow in lockstep: a batch of trees shares one
+  presorted block, each tree's rows in a slab of their own, and step ``i``
+  searches and splits node ``i`` of every tree's pre-order in one call.
 
 A node's search reads only its own rows and draws, so every order grows the
 tree that searching node by node in pre-order grows, bit for bit.
@@ -38,6 +38,7 @@ small nodes are searched exhaustively.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -49,6 +50,12 @@ from ..errors import ConfigError
 from ..metrics import Prediction, Regressor
 
 _MAE_CANDIDATE_CAP = 128
+# A forest grows its trees in batches whose blocks, (features + 1) x rows
+# int32 entries each, total at most _FOREST_ELEMENTS entries (4 MB); one
+# lockstep call searches and splits nodes whose segments total at most
+# _STEP_ELEMENTS entries, which bounds the call's temporaries.
+_FOREST_ELEMENTS = 1_000_000
+_STEP_ELEMENTS = 40_000
 
 CRITERIA = ("squared_error", "absolute_error")
 
@@ -103,19 +110,28 @@ def _partition(flat: np.ndarray, goes_left: np.ndarray, n_rows: int) -> tuple:
     return tuple(flat.compress(keep).reshape(n_rows, -1) for keep in (goes_left, ~goes_left))
 
 
+def _rows(ids: np.ndarray | None, picked: np.ndarray) -> np.ndarray:
+    """The data rows that the block entries ``picked`` stand for; see _split_search."""
+    return picked if ids is None else ids.take(picked)
+
+
 def _split_search(columns: np.ndarray, y: np.ndarray, entries: list, criterion: str,
-                  min_leaf: int, max_features: int | None, rng) -> list:
+                  min_leaf: int, features: np.ndarray | None = None,
+                  ids: np.ndarray | None = None) -> list:
     """Each entry's best ``(feature, threshold, gain)`` with positive gain, or None.
 
     An entry ``(node, block, start, size, depth)`` owns the segment
     ``block[:, start:start + size]``: row ``f`` lists the node's rows in
     ascending (value, row) order of column ``f``, the last row in row order.
-    ``columns`` holds the features column after column; it and ``y`` end in
-    a padding row with a zero target. Every entry draws its feature subset,
-    in entry order. The entries of one size class, [2^c, 2^(c+1)) rows, are
-    scored as one (nodes x features, positions) array, each node padded to
-    the class's largest size with the padding row, which their shared block
-    lists at its last position. The padding follows the real rows, so every
+    A block entry is a data row, or with ``ids`` the entry ``e`` stands for
+    data row ``ids[e]``. Row ``f`` of ``columns`` holds feature ``f`` of every
+    data row, then of a padding row; ``y`` holds every entry's target, then
+    a zero one for the padding entry, which is the padding row. Row ``i`` of
+    ``features`` lists entry ``i``'s features, ascending; None searches every
+    feature for every entry. The entries of one size class, [2^c, 2^(c+1))
+    rows, are scored as one (nodes x features, positions) array, each node
+    padded to the class's largest size with the padding entry, which their
+    shared block lists at its last position. The padding follows the real rows, so every
     running sum has the bits of a cumsum over the node alone.
 
     The first minimum score, feature-major, wins. Squared-error scores are
@@ -124,16 +140,12 @@ def _split_search(columns: np.ndarray, y: np.ndarray, entries: list, criterion: 
     cost - impurity; rounding is symmetric, so the first minimum score is
     the first maximum gain, impurity - cost.
     """
-    n_features, padding = columns.size // y.size, y.size - 1
+    n_features, padding = len(columns), y.size - 1
     splits = [None] * len(entries)
     if n_features == 0:
         return splits
-    if max_features is None or max_features >= n_features or rng is None:
+    if features is None:
         features = np.arange(n_features)[None]  # one row serves every node
-    else:
-        features = np.empty((len(entries), max_features), dtype=np.intp)
-        for drawn in features:
-            drawn[:] = np.sort(rng.choice(n_features, size=max_features, replace=False))
     classes: dict = {}
     for i, (_, _, _, size, _) in enumerate(entries):
         classes.setdefault(size.bit_length(), []).append(i)
@@ -152,7 +164,8 @@ def _split_search(columns: np.ndarray, y: np.ndarray, entries: list, criterion: 
             pos = np.where(ahead < m[:, 0], starts + ahead, padding)
             rows = block[f[:, :, None], pos[:, None, :]]
         shape = (len(members), f.shape[1], width - 1)
-        sx = columns.take(rows + f[:, :, None] * y.size).reshape(-1, width)
+        sx = columns.take(_rows(ids, rows) + f[:, :, None] * columns.shape[1]) \
+            .reshape(-1, width)
         sy = y.take(rows).reshape(-1, width)
         counts = np.arange(1, width, dtype=np.float64)
         rest = m - counts
@@ -205,7 +218,7 @@ def _split_search(columns: np.ndarray, y: np.ndarray, entries: list, criterion: 
 
 
 def _split_nodes(columns: np.ndarray, y: np.ndarray, chosen: list, criterion: str,
-                 min_leaf: int) -> list:
+                 min_leaf: int, ids: np.ndarray | None = None) -> list:
     """Split each ``((node, block, start, size, depth), split)`` pair and
     return the entries of the children that can split further, left before
     right.
@@ -214,14 +227,13 @@ def _split_nodes(columns: np.ndarray, y: np.ndarray, chosen: list, criterion: st
     both orders. The children's segments always replace their parent's in
     its block, in place, so one search can read the block for many nodes.
     A child with fewer than ``2 * min_leaf`` rows or constant targets stays
-    a leaf."""
-    stride = y.size
+    a leaf. The arguments read as _split_search's do."""
     block = chosen[0][0][1]
     if len(chosen) == 1:  # slices and scalars keep a lone split cheap
         (_, _, start, size, _), (feature, threshold, _) = chosen[0]
         flat = block[:, start:start + size].ravel()
-        left, right = _partition(flat, columns[feature * stride:(feature + 1) * stride].take(flat)
-                                 <= threshold, len(block))
+        left, right = _partition(flat, columns[feature].take(_rows(ids, flat)) <= threshold,
+                                 len(block))
         n_left = [left.shape[1]]
         block[:, start:start + n_left[0]] = left
         block[:, start + n_left[0]:start + size] = right
@@ -232,9 +244,9 @@ def _split_nodes(columns: np.ndarray, y: np.ndarray, chosen: list, criterion: st
         sizes = [entry[3] for entry, _ in chosen]
         positions = _segments(starts, sizes)
         flat = block[:, positions].ravel()
-        rows, side = flat[-len(positions):], np.zeros(stride, dtype=bool)
-        side[rows] = columns.take(rows + stride * np.array([split[0] for _, split in chosen])
-                                  .repeat(sizes)) \
+        rows, side = flat[-len(positions):], np.zeros(y.size, dtype=bool)
+        side[rows] = columns.take(_rows(ids, rows) + columns.shape[1]
+                                  * np.array([split[0] for _, split in chosen]).repeat(sizes)) \
             <= np.array([split[1] for _, split in chosen]).repeat(sizes)
         left, right = _partition(flat, side.take(flat), len(block))
         n_left = np.add.reduceat(side.take(rows), np.cumsum(sizes) - sizes).tolist()
@@ -264,15 +276,50 @@ def _split_nodes(columns: np.ndarray, y: np.ndarray, chosen: list, criterion: st
     return children
 
 
+def _columns(X: np.ndarray) -> np.ndarray:
+    """``X`` column by column, each column followed by the padding row's 0."""
+    columns = np.zeros((X.shape[1], X.shape[0] + 1))
+    columns[:, :-1] = X.T
+    return columns
+
+
+def _presort(columns: np.ndarray, row_sets, dtype=np.intp) -> tuple:
+    """The presorted block, of ``dtype``, of the trees whose data rows are
+    ``row_sets``, and the data row of each of its entries: tree ``t`` takes
+    the slab of entries after those of trees ``0 .. t-1``, sorted within it,
+    and one padding entry follows them all; see _split_search."""
+    if min(len(rows) for rows in row_sets) == 0:
+        raise ConfigError("cannot grow a tree on empty data")
+    ids = np.concatenate([*row_sets, [columns.shape[1] - 1]])
+    n = ids.size - 1
+    order = np.empty((len(columns) + 1, n + 1), dtype=dtype)
+    order[:, n] = n
+    order[-1, :n] = np.arange(n)
+    start = 0
+    for rows in row_sets:
+        end = start + len(rows)
+        order[:-1, start:end] = np.argsort(columns[:, rows], axis=1, kind="stable")
+        order[:-1, start:end] += start
+        start = end
+    return order, ids
+
+
+def _root(y: np.ndarray, block: np.ndarray, start: int, size: int, criterion: str,
+          min_leaf: int) -> tuple:
+    """A tree's root over the segment ``start .. start + size - 1``, and the
+    entries left to search: the root's own, unless it stays a leaf."""
+    y_node = y[start:start + size]
+    root = _Node(_leaf_value(y_node, criterion))
+    grows = size >= 2 * min_leaf and y_node.max() != y_node.min()
+    return root, [(root, block, start, size, 0)] if grows else []
+
+
 def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str = "squared_error",
               max_depth: int | None = None, min_samples_leaf: int = 1,
-              max_leaf_nodes: int | None = None, max_features: int | None = None,
-              rng=None) -> _Node:
+              max_leaf_nodes: int | None = None) -> _Node:
     """Grow one tree; ``max_leaf_nodes`` switches to best-first growth."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    if y.size == 0:
-        raise ConfigError("cannot grow a tree on empty data")
     best_first = max_leaf_nodes is not None
     if best_first:
         if max_depth is not None:
@@ -280,29 +327,19 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str = "squared_error",
         if max_leaf_nodes < 2:
             raise ConfigError("max_leaf_nodes must be >= 2")
 
-    n = y.size
-    # column-major features, with one padding row after the data; see _split_search
-    columns, y_pad = np.vstack([X, np.zeros(X.shape[1])]).T.ravel(), np.append(y, 0.0)
-    order = np.full((X.shape[1] + 1, n + 1), n)
-    order[:-1, :n] = np.argsort(X.T, axis=1, kind="stable")
-    order[-1, :n] = np.arange(n)
-
-    # per-node feature draws follow pre-order, so such trees search one node at a time
-    pre_order = not best_first and rng is not None and max_features is not None \
-        and max_features < X.shape[1]
+    columns = _columns(X)
+    order, _ = _presort(columns, [np.arange(y.size)])  # its entries are the rows
+    y_pad = np.append(y, 0.0)
 
     def search(entries):
-        return _split_search(columns, y_pad, entries, criterion, min_samples_leaf,
-                             max_features, rng)
+        return _split_search(columns, y_pad, entries, criterion, min_samples_leaf)
 
     def split(entries, splits):
         chosen = [(entry, s) for entry, s in zip(entries, splits) if s is not None]
         return _split_nodes(columns, y_pad, chosen, criterion, min_samples_leaf) if chosen else []
 
     # an entry is (node, block, start of its segment, size, depth)
-    root = _Node(_leaf_value(y, criterion))
-    grows = y.size >= 2 * min_samples_leaf and y.max() != y.min()
-    entries = [(root, order, 0, y.size, 0)] if grows else []
+    root, entries = _root(y_pad, order, 0, y.size, criterion, min_samples_leaf)
     if best_first:
         # a node is searched when it is created and queued on
         # (-gain, creation order)
@@ -316,15 +353,76 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str = "squared_error",
                 break
             _, _, entry, s = heapq.heappop(queue)
             entries = split([entry], [s])
-    elif pre_order:
-        while entries:
-            entry = entries.pop()
-            if max_depth is None or entry[4] < max_depth:
-                entries.extend(reversed(split([entry], search([entry]))))
     else:
         while entries and (max_depth is None or entries[0][4] < max_depth):
             entries = split(entries, search(entries))
     return root
+
+
+def _budgeted(items, cost, budget: int):
+    """Consecutive runs of ``items``, read lazily: each as long as its
+    items' costs total at most ``budget``, and at least one item long."""
+    run, used = [], 0
+    for item in items:
+        spent = cost(item)
+        if run and used + spent > budget:
+            yield run
+            run, used = [], 0
+        run.append(item)
+        used += spent
+    if run:
+        yield run
+
+
+def grow_forest(X: np.ndarray, y: np.ndarray, row_sets, rngs, *, min_samples_leaf: int,
+                max_features: int | None = None) -> list:
+    """One squared-error tree of unlimited depth per row set of ``X``, each
+    node searching ``max_features`` features drawn from its tree's rng
+    (every feature, with no draw, when None or at least the width).
+    ``row_sets`` and ``rngs`` are read lazily, a batch of trees at a time,
+    and each batch grows in lockstep."""
+    columns = _columns(np.asarray(X, dtype=np.float64))
+    y = np.append(np.asarray(y, dtype=np.float64).ravel(), 0.0)
+    roots = []
+    for batch in _budgeted(zip(row_sets, rngs), lambda tree: len(tree[0]) * (len(columns) + 1),
+                           _FOREST_ELEMENTS):
+        roots += _grow_lockstep(columns, y, batch, min_samples_leaf, max_features)
+    return roots
+
+
+def _grow_lockstep(columns, y, batch, min_leaf, max_features) -> list:
+    """Grow a batch of ``(rows, rng)`` trees in pre-order. Each step pops
+    the next node off every tree's stack and searches and splits them in as
+    few calls as ``_STEP_ELEMENTS`` allows."""
+    row_sets, rngs = zip(*batch)
+    # int32 halves a batch's block; a lone tree's level search is faster on intp
+    order, ids = _presort(columns, row_sets, np.int32)
+    y_pad = y.take(ids)  # the padding row's target is 0
+    n_features = len(columns)
+    draws = max_features is not None and max_features < n_features
+    offsets = np.cumsum([0] + [len(r) for r in row_sets]).tolist()
+    roots, stacks = [], []
+    for start, end in zip(offsets, offsets[1:]):
+        root, entries = _root(y_pad, order, start, end - start, "squared_error", min_leaf)
+        roots.append(root)
+        stacks.append(entries)
+    live = [t for t, stack in enumerate(stacks) if stack]
+    while live:
+        popped = [(t, stacks[t].pop()) for t in live]
+        for call in _budgeted(popped, lambda pair: pair[1][3] * len(order), _STEP_ELEMENTS):
+            trees, entries = zip(*call)
+            features = np.sort([rngs[t].choice(n_features, size=max_features, replace=False)
+                                for t in trees], axis=1) if draws else None
+            splits = _split_search(columns, y_pad, entries, "squared_error", min_leaf,
+                                   features, ids)
+            chosen = [(entry, s) for entry, s in zip(entries, splits) if s is not None]
+            if chosen:
+                # left above right on each tree's stack; a child's start names its tree
+                for child in reversed(_split_nodes(columns, y_pad, chosen, "squared_error",
+                                                   min_leaf, ids)):
+                    stacks[bisect.bisect_right(offsets, child[2]) - 1].append(child)
+        live = [t for t in live if stacks[t]]
+    return roots
 
 
 def predict_tree(root: _Node, X: np.ndarray,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dimuq import rmse
+from dimuq import rmse, synthetic_matrix
 from dimuq.errors import ConfigError
 from dimuq.models import (
     DecisionTreeRegressor,
@@ -80,3 +80,14 @@ class TestMonotoneInvariance:
         refit = RandomForestRegressor(config).fit(matrix_from_arrays(transformed, y))
         np.testing.assert_allclose(base.predict(X).values,
                                    refit.predict(transformed).values, rtol=1e-12)
+
+
+def test_thirty_tree_fit_at_n640_stays_within_the_batch_budget(traced_peak):
+    # evaluate-point's forest: 30 trees of 640 rows grow as one batch. Its
+    # block is 30 x 17 x 641 int32 entries (1.3 MB), one lockstep call's
+    # temporaries stay under 1 MB, and the 30 trees themselves hold ~0.8 MB.
+    # A copy of the features per tree would add ~2.5 MB.
+    train = synthetic_matrix(800, 0.05, 7).take(np.arange(640))
+    config = ForestConfig(n_estimators=30, max_features=3, min_samples_leaf=3)
+    RandomForestRegressor(config).fit(train)  # warm-up
+    assert traced_peak(RandomForestRegressor(config).fit, train) < 4_000_000

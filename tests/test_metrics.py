@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -139,3 +140,13 @@ class TestRegressorContract:
             for width in (1, data.width + 1):
                 with pytest.raises(ConfigError, match="do not match"):
                     method(np.zeros((3, width)))
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_empty_training_data_is_a_config_error_before_any_work(self, family):
+        empty = synthetic_matrix(20, 0.05, 7).take(np.arange(0))
+        model = build_model(family, _TINY.get(family, {}), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning from work on no rows
+            with pytest.raises(ConfigError):
+                model.fit(empty)
+        assert model.width is None

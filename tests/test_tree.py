@@ -5,7 +5,8 @@ from dimuq import synthetic_matrix
 from dimuq.data import apply_scaler, fit_scaler
 from dimuq.errors import ConfigError
 from dimuq.models import DecisionTreeRegressor, ForestConfig, RandomForestRegressor, TreeConfig
-from dimuq.models.tree import grow_tree, predict_tree
+from dimuq.models import tree as tree_module
+from dimuq.models.tree import grow_forest, grow_tree, predict_tree
 
 from helpers import matrix_from_arrays
 
@@ -381,10 +382,76 @@ def test_other_growth_modes_match_the_oracle(mode):
                 "leaf_budget": dict(max_leaf_nodes=12),
                 "absolute_error": dict(criterion="absolute_error", max_depth=3,
                                        min_samples_leaf=2)}[mode]
-    ours, reference = (
-        grow(X, y, rng=np.random.default_rng(17) if mode == "forest" else None, **settings)
-        for grow in (grow_tree, _reference_grow))
+    if mode == "forest":
+        ours = grow_forest(X, y, [np.arange(y.size)], [np.random.default_rng(17)], **settings)[0]
+        reference = _reference_grow(X, y, rng=np.random.default_rng(17), **settings)
+    else:
+        ours, reference = grow_tree(X, y, **settings), _reference_grow(X, y, **settings)
     assert _nodes(ours) == _nodes(reference)
+
+
+def _forest_case(n_trees, seed, n=90, bootstrap=True, constant_tree=None):
+    """The forest's data, row sets and rngs, each rng past its bootstrap
+    draw, and for the oracle a twin of each rng in the same state."""
+    train = _sweep_shaped(n, seed)
+    X, y = train.features, train.targets
+    row_sets, rngs, twins = [], [], []
+    for t in range(n_trees):
+        rng, twin = (np.random.default_rng(np.random.SeedSequence([seed, t])) for _ in "ab")
+        rows = np.arange(n)
+        if bootstrap:
+            rows = rng.integers(0, n, size=n)
+            twin.integers(0, n, size=n)
+        if t == constant_tree:  # one row n times: constant targets
+            rows = np.full(n, rows[0])
+        row_sets.append(rows)
+        rngs.append(rng)
+        twins.append(twin)
+    return X, y, row_sets, rngs, twins
+
+
+def _batch_sizes(monkeypatch, trees_per_batch, width, n=90):
+    """Set the forest budget to ``trees_per_batch`` trees of ``n`` rows, and
+    record the size of every batch grown."""
+    monkeypatch.setattr(tree_module, "_FOREST_ELEMENTS", trees_per_batch * n * (width + 1))
+    sizes, grow = [], tree_module._grow_lockstep
+
+    def recorded(columns, y, batch, *args):
+        sizes.append(len(batch))
+        return grow(columns, y, batch, *args)
+    monkeypatch.setattr(tree_module, "_grow_lockstep", recorded)
+    return sizes
+
+
+# batches of 3 trees; max_features 16 is the whole width, so no node draws
+@pytest.mark.parametrize("n_trees, bootstrap, max_features, constant_tree", [
+    (7, True, 3, None), (5, False, 4, None), (6, True, 16, None), (4, True, 2, 1)])
+def test_lockstep_forest_grows_each_tree_of_the_oracle(n_trees, bootstrap, max_features,
+                                                       constant_tree, monkeypatch):
+    X, y, row_sets, rngs, twins = _forest_case(n_trees, 11, bootstrap=bootstrap,
+                                               constant_tree=constant_tree)
+    sizes = _batch_sizes(monkeypatch, 3, X.shape[1])
+    forest = grow_forest(X, y, row_sets, rngs, min_samples_leaf=3, max_features=max_features)
+    assert sizes == [3] * (n_trees // 3) + [n_trees % 3] * (n_trees % 3 > 0)
+    assert len(forest) == n_trees
+    for root, rows, twin in zip(forest, row_sets, twins):
+        reference = _reference_grow(X[rows], y[rows], min_samples_leaf=3,
+                                    max_features=max_features, rng=twin)
+        assert _nodes(root) == _nodes(reference)
+    if constant_tree is not None:
+        assert forest[constant_tree].is_leaf
+
+
+def test_lockstep_forest_does_not_depend_on_the_batch_size(monkeypatch):
+    grown = {}
+    for trees_per_batch, expected in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1]), (7, [7])):
+        X, y, row_sets, rngs, _ = _forest_case(7, 12)
+        with monkeypatch.context() as patch:
+            sizes = _batch_sizes(patch, trees_per_batch, X.shape[1])
+            forest = grow_forest(X, y, row_sets, rngs, min_samples_leaf=2, max_features=3)
+        assert sizes == expected
+        grown[trees_per_batch] = [_nodes(root) for root in forest]
+    assert grown[1] == grown[2] == grown[3] == grown[7]
 
 
 @pytest.mark.parametrize("case", ["duplicate_rows", "constant_columns", "equal_targets",
