@@ -1,5 +1,5 @@
 """Squared Euclidean distances between two sets of rows, for the kernel
-models (GPR and SVR).
+models (GPR and SVR) and for the bound that picks kNN's candidate rows.
 
 The cross term is ``2.0 * X1 @ X2.T``: the product of the scaled copy of X1
 with X2. That operand form is kept on purpose. ``X1 @ X2.T`` with the same
