@@ -25,7 +25,7 @@ fit, so no result depends on what ran before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,6 +62,19 @@ class KernelParams:
         return KernelParams(float(amplitude), float(length_scale), float(noise))
 
 
+@dataclass(frozen=True)
+class GprConfig(KernelParams):
+    """A fit's initial kernel, its number of log-uniform restarts and their seed."""
+
+    n_restarts: int = 0
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_restarts < 0:
+            raise ConfigError("n_restarts must be >= 0")
+
+
 def matern32(r, amplitude: float, length_scale: float, out=None, scaled=None,
              decay=None):
     """Covariance at distance r: amplitude * (1 + s) exp(-s), s = sqrt(3) r / l.
@@ -69,7 +82,6 @@ def matern32(r, amplitude: float, length_scale: float, out=None, scaled=None,
     ``out``, ``scaled`` and ``decay``, arrays of r's shape, receive the
     covariance, s and exp(-s). ``scaled`` may be r itself, and ``out`` may
     be ``scaled`` when the caller does not keep s."""
-    r = np.asarray(r, dtype=np.float64)
     scaled = np.divide(np.multiply(_SQRT3, r, out=scaled), length_scale, out=scaled)
     decay = np.exp(np.negative(scaled, out=decay), out=decay)
     product = np.multiply(amplitude, np.add(1.0, scaled, out=out), out=out)
@@ -83,12 +95,9 @@ def _distances(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
 
 
 def gram(X1: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Kernel matrix between the rows of X1 and X2, without the noise term;
-    it never depends on whether X1 and X2 are the same object."""
-    X1 = np.atleast_2d(np.asarray(X1, dtype=np.float64))
-    X2 = np.atleast_2d(np.asarray(X2, dtype=np.float64))
-    if X1.shape[1] != X2.shape[1]:
-        raise ConfigError(f"feature dimension mismatch: {X1.shape[1]} vs {X2.shape[1]}")
+    """Kernel matrix between the rows of X1 and X2, 2-D float arrays of one
+    width, without the noise term; it never depends on whether X1 and X2
+    are the same object."""
     r = _distances(X1, X2)
     return matern32(r, params.amplitude, params.length_scale, out=r, scaled=r,
                     decay=np.empty_like(r))
@@ -138,22 +147,14 @@ def _condition(distances: np.ndarray, y: np.ndarray, params: KernelParams, buffe
     return L, jitter, alpha, lml
 
 
-def log_marginal_likelihood(X, y, params: KernelParams, return_grad: bool = False,
-                            distances: np.ndarray | None = None, buffers=None):
-    """LML of the targets under the kernel, optionally with its gradient with
-    respect to (log amplitude, log length scale, log noise). ``distances``
-    are the pairwise Euclidean distances of the rows of X, if the caller
-    has them, and ``buffers`` the three n x n arrays of ``_kernel_buffers``;
-    a fit makes both once for all its evaluations."""
+def log_marginal_likelihood(distances: np.ndarray, y: np.ndarray, params: KernelParams,
+                            buffers):
+    """LML of the targets ``y`` and its gradient with respect to (log
+    amplitude, log length scale, log noise), at the pairwise Euclidean
+    ``distances`` of the training rows and in the three n x n ``buffers`` of
+    ``_kernel_buffers``; a fit makes both once for all its evaluations."""
     from scipy.linalg.lapack import dpotri
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if distances is None:
-        distances = _distances(X, X)
-    buffers = buffers or _kernel_buffers(y.size)
     L, _, alpha, lml = _condition(distances, y, params, buffers)
-    if not return_grad:
-        return lml
 
     # d lml / d theta = 0.5 (alpha^T dK alpha - sum(K^-1 * dK)). dpotri writes
     # the lower triangle of K^-1 over L and leaves L's zero upper triangle;
@@ -183,33 +184,17 @@ class GprModel:
     log_marginal: float
 
     def __post_init__(self):
-        for name in ("X_train", "chol", "alpha"):
-            array = np.asarray(getattr(self, name), dtype=np.float64)
+        for array in (self.X_train, self.chol, self.alpha):
             array.setflags(write=False)
-            object.__setattr__(self, name, array)
 
 
-def build_gpr(matrix, params: KernelParams, distances: np.ndarray | None = None,
-              buffers=None) -> GprModel:
-    """Condition on the training data at fixed kernel parameters; a fit
-    passes the distances and buffers of its evaluations, and the model
-    keeps the work matrix as its Cholesky factor."""
-    X, y = matrix.features, matrix.targets
-    if distances is None:
-        distances = _distances(X, X)
-    L, jitter, alpha, lml = _condition(distances, y, params,
-                                       buffers or _kernel_buffers(y.size))
-    return GprModel(kernel=params, X_train=X.copy(), chol=L, alpha=alpha,
-                    jitter=jitter, log_marginal=lml)
-
-
-def fit_gpr(matrix, init: KernelParams | None = None, n_restarts: int = 0,
-            seed: int = 0) -> GprModel:
-    """Maximize the LML from ``init`` plus ``n_restarts`` log-uniform starts."""
+def fit_gpr(matrix, config: GprConfig) -> GprModel:
+    """Maximize the LML from ``config``'s kernel plus ``config.n_restarts``
+    log-uniform starts, and condition on the data at the best kernel; the
+    model keeps the work matrix as its Cholesky factor."""
     X, y = matrix.features, matrix.targets
     if X.shape[0] == 0:
         raise ConfigError("cannot fit on empty training data")
-    init = init or KernelParams()
     distances = _distances(X, X)
     buffers = _kernel_buffers(X.shape[0])
 
@@ -217,16 +202,15 @@ def fit_gpr(matrix, init: KernelParams | None = None, n_restarts: int = 0,
         if np.any(np.abs(theta) > 25.0):  # keep exp() in sane range
             return np.inf, np.zeros_like(theta)
         try:
-            lml, grad = log_marginal_likelihood(X, y, KernelParams.from_log_vector(theta),
-                                                return_grad=True, distances=distances,
-                                                buffers=buffers)
+            lml, grad = log_marginal_likelihood(distances, y,
+                                                KernelParams.from_log_vector(theta), buffers)
         except ConditioningError:
             return np.inf, np.zeros(3)
         return -lml, -grad
 
-    starts = [init.log_vector()]
-    for r in range(n_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
+    starts = [config.log_vector()]
+    for r in range(config.n_restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, r]))
         starts.append(rng.uniform(*_RESTART_LOG_RANGE, size=3))
 
     best_theta, best_value = None, np.inf
@@ -237,7 +221,10 @@ def fit_gpr(matrix, init: KernelParams | None = None, n_restarts: int = 0,
     if best_theta is None:
         raise ConditioningError("every optimizer start failed conditioning")
 
-    return build_gpr(matrix, KernelParams.from_log_vector(best_theta), distances, buffers)
+    kernel = KernelParams.from_log_vector(best_theta)
+    L, jitter, alpha, lml = _condition(distances, y, kernel, buffers)
+    return GprModel(kernel=kernel, X_train=X, chol=L, alpha=alpha, jitter=jitter,
+                    log_marginal=lml)
 
 
 def predict_gpr(model: GprModel, queries) -> PredictiveDistribution:
@@ -261,14 +248,11 @@ def predict_gpr(model: GprModel, queries) -> PredictiveDistribution:
 class GprRegressor(ProbabilisticRegressor):
     """Contract adapter for the evaluation harness."""
 
-    def __init__(self, init: KernelParams | None = None, n_restarts: int = 0,
-                 seed: int = 0):
-        self.init = init or KernelParams()
-        self.n_restarts = n_restarts
-        self.seed = seed
+    def __init__(self, config: GprConfig | None = None):
+        self.config = config or GprConfig()
 
     def fit(self, matrix) -> "GprRegressor":
-        self.model = fit_gpr(matrix, self.init, self.n_restarts, self.seed)
+        self.model = fit_gpr(matrix, self.config)
         self.width = matrix.width
         return self
 
@@ -279,10 +263,5 @@ class GprRegressor(ProbabilisticRegressor):
     def diagnostics(self) -> dict:
         if self.width is None:
             return {}
-        kernel = self.model.kernel
-        return {
-            "amplitude": kernel.amplitude,
-            "length_scale": kernel.length_scale,
-            "noise_level": kernel.noise_level,
-            "log_marginal_likelihood": self.model.log_marginal,
-        }
+        kernel = asdict(self.model.kernel)
+        return {**kernel, "log_marginal_likelihood": self.model.log_marginal}

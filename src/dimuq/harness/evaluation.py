@@ -386,4 +386,4 @@ def uq_trend_study(params: dict, data: DesignMatrix, fractions_list=None,
                 [r[name] for r in replicates])
         rows.append(row)
     return UqTrendReport(fractions=tuple(fractions_list), seeds=tuple(seeds),
-                         n_draws=model.params.n_draws, rows=tuple(rows))
+                         n_draws=model.config.n_draws, rows=tuple(rows))

@@ -23,7 +23,7 @@ from ..bnn import (
     train_head_model,
 )
 from ..errors import ConfigError
-from ..gpr import GprRegressor, KernelParams
+from ..gpr import GprConfig, GprRegressor
 from ..metrics import Prediction, PredictiveDistribution, ProbabilisticRegressor
 from ..models import (
     DecisionTreeRegressor,
@@ -86,17 +86,6 @@ def read_config(cls, doc, where: str, seed: int | None = None):
 
 
 @dataclass(frozen=True)
-class _GprParams(KernelParams):
-    n_restarts: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_restarts < 0:
-            raise ConfigError("n_restarts must be >= 0")
-
-
-@dataclass(frozen=True)
 class _HeadParams(HeadConfig):
     epochs: int = DEFAULT_HEAD_EPOCHS
     seed: int = 0
@@ -122,10 +111,10 @@ class _EnsembleParams(EnsembleConfig):
 
 
 class _NetworkAdapter(ProbabilisticRegressor):
-    """A network trained from ``params``: its config plus epochs and seed."""
+    """A network trained from ``config``: its network config plus epochs and seed."""
 
-    def __init__(self, params):
-        self.params = params
+    def __init__(self, config):
+        self.config = config
 
     def diagnostics(self) -> dict:
         return {} if self.width is None else self.network.diagnostics()
@@ -133,8 +122,8 @@ class _NetworkAdapter(ProbabilisticRegressor):
 
 class _HeadModelAdapter(_NetworkAdapter):
     def fit(self, matrix):
-        self.network = train_head_model(matrix, self.params, epochs=self.params.epochs,
-                                        seed=self.params.seed)
+        self.network = train_head_model(matrix, self.config, epochs=self.config.epochs,
+                                        seed=self.config.seed)
         self.width = matrix.width
         return self
 
@@ -145,9 +134,9 @@ class _HeadModelAdapter(_NetworkAdapter):
 
 class _EnsembleModelAdapter(_NetworkAdapter):
     def fit(self, matrix):
-        self.network = train_ensemble_model(matrix, self.params,
-                                            epochs=self.params.epochs,
-                                            seed=self.params.seed)
+        self.network = train_ensemble_model(matrix, self.config,
+                                            epochs=self.config.epochs,
+                                            seed=self.config.seed)
         self.width = matrix.width
         return self
 
@@ -155,8 +144,8 @@ class _EnsembleModelAdapter(_NetworkAdapter):
         # looked up on dimuq.bnn at call time: perfbench/layers.py wraps it there
         from ..bnn import ensemble_predict
         queries = self.queries(features)
-        return ensemble_predict(self.network, queries, n_draws=self.params.n_draws,
-                                seed=self.params.seed)
+        return ensemble_predict(self.network, queries, n_draws=self.config.n_draws,
+                                seed=self.config.seed)
 
     def predict(self, features) -> Prediction:
         return Prediction(self._ensemble(features).mixture_means())
@@ -183,8 +172,7 @@ _FAMILIES = {
     "gbt": (GbtConfig, GradientBoostingRegressor, None),
     "svr": (SvrConfig, SvrRegressor, None),
     "mlp": (MlpConfig, MlpRegressor, None),
-    "gpr": (_GprParams, lambda p: GprRegressor(p, n_restarts=p.n_restarts, seed=p.seed),
-            None),
+    "gpr": (GprConfig, GprRegressor, None),
     "bnn_head": (_HeadParams, _HeadModelAdapter, None),
     "bnn_ensemble": (_EnsembleParams, _EnsembleModelAdapter, None),
 }

@@ -37,6 +37,24 @@ def noisy_self_gram(X, params):
     return K
 
 
+def gpr_lml(X, y, params):
+    """The GPR log marginal likelihood of targets ``y`` at the rows of ``X``
+    under the kernel ``params``, and its gradient, as a fit's objective
+    evaluates them."""
+    from dimuq.gpr import _distances, _kernel_buffers, log_marginal_likelihood
+    return log_marginal_likelihood(_distances(X, X), y, params, _kernel_buffers(y.size))
+
+
+def conditioned_gpr(matrix, params):
+    """A GprModel conditioned on ``matrix`` at the fixed kernel ``params``,
+    as a fit conditions at its best kernel."""
+    from dimuq.gpr import GprModel, _condition, _distances, _kernel_buffers
+    X, y = matrix.features, matrix.targets
+    L, jitter, alpha, lml = _condition(_distances(X, X), y, params, _kernel_buffers(y.size))
+    return GprModel(kernel=params, X_train=X, chol=L, alpha=alpha, jitter=jitter,
+                    log_marginal=lml)
+
+
 def kl_diag_gaussians(mu_q, sigma_q, mu_p, sigma_p) -> float:
     """KL(q || p) between diagonal Gaussians, summed over parameters (nats):
     the closed form that ``standard_normal_kl``'s terms must sum to."""

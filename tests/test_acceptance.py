@@ -26,7 +26,7 @@ from dimuq.bnn import (
     train_head_model,
 )
 from dimuq.cli import main as cli_main
-from dimuq.gpr import GprRegressor, KernelParams, build_gpr, gram, predict_gpr
+from dimuq.gpr import GprConfig, GprRegressor, KernelParams, gram, predict_gpr
 from dimuq.harness import (
     Fractions,
     HyperGrid,
@@ -126,7 +126,7 @@ def test_criterion_3_gbt_accuracy(real_matrix):
 def test_criterion_4_gpr_accuracy(real_split):
     with criterion(4, "GPR test RMSE in [0.045, 0.065] mm"):
         train, test = real_split
-        model = GprRegressor(KernelParams(), n_restarts=50, seed=2022).fit(train)
+        model = GprRegressor(GprConfig(n_restarts=50, seed=2022)).fit(train)
         value = rmse(model.predict(test.features).values, test.targets)
         print(f"  gpr rmse: {value:.5f} mm")
         assert 0.045 <= value <= 0.065
@@ -195,8 +195,8 @@ class TestCriterion8Properties:
             X = np.array([[0.0], [0.5], [1.3]])
             y = np.array([0.2, -0.1, 0.4])
             params = KernelParams(amplitude=0.9, length_scale=0.8, noise_level=0.05)
-            from helpers import matrix_from_arrays, noisy_self_gram
-            model = build_gpr(matrix_from_arrays(X, y), params)
+            from helpers import conditioned_gpr, matrix_from_arrays, noisy_self_gram
+            model = conditioned_gpr(matrix_from_arrays(X, y), params)
             Q = np.array([[0.2], [0.9]])
             K_inv = np.linalg.inv(noisy_self_gram(X, params))
             k_cross = gram(X, Q, params)

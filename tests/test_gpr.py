@@ -4,10 +4,10 @@ import pytest
 from dimuq.distances import sq_distances
 from dimuq.errors import ConfigError
 from dimuq.gpr import (
+    GprConfig,
     GprRegressor,
     KernelParams,
     _kernel_buffers,
-    build_gpr,
     fit_gpr,
     gram,
     log_marginal_likelihood,
@@ -17,6 +17,8 @@ from dimuq.gpr import (
 
 from helpers import (
     central_difference,
+    conditioned_gpr,
+    gpr_lml,
     matrix_from_arrays,
     noisy_self_gram,
     sq_distances_oracle,
@@ -43,8 +45,8 @@ class TestGram:
     def test_self_gram_single_point_includes_noise(self):
         # the conditioned self-gram: amplitude + noise (+ a 1e-10 jitter)
         X = np.array([[0.3, 0.4]])
-        model = build_gpr(matrix_from_arrays(X, [0.0]),
-                          KernelParams(amplitude=1.0, noise_level=1.0))
+        model = conditioned_gpr(matrix_from_arrays(X, [0.0]),
+                                KernelParams(amplitude=1.0, noise_level=1.0))
         np.testing.assert_allclose(model.chol ** 2, [[2.0]])
 
     def test_cross_gram_carries_no_noise(self):
@@ -72,20 +74,22 @@ class TestGram:
         from scipy.linalg import cholesky
         X = np.random.default_rng(2).uniform(-1, 1, size=(6, 2))
         params = KernelParams(amplitude=1.3, noise_level=0.2)
-        model = build_gpr(matrix_from_arrays(X, np.zeros(6)), params)
+        model = conditioned_gpr(matrix_from_arrays(X, np.zeros(6)), params)
         expected = cholesky(noisy_self_gram(X, params) + model.jitter * np.eye(6), lower=True)
         np.testing.assert_array_equal(model.chol, expected)
 
     def test_dimension_mismatch(self):
+        model = conditioned_gpr(matrix_from_arrays(np.zeros((2, 2)), np.zeros(2)),
+                                KernelParams())
         with pytest.raises(ConfigError):
-            gram(np.zeros((2, 2)), np.zeros((2, 3)), KernelParams())
+            predict_gpr(model, np.zeros((2, 3)))
 
 
 class TestLogMarginalLikelihood:
     def test_scalar_case(self):
         # k(0,0) + noise = 2 with y = 0
         X, y = np.zeros((1, 1)), np.zeros(1)
-        lml = log_marginal_likelihood(X, y, KernelParams(amplitude=1.0, noise_level=1.0))
+        lml, _ = gpr_lml(X, y, KernelParams(amplitude=1.0, noise_level=1.0))
         # the conditioning jitter (1e-10 on the diagonal) perturbs at ~1e-11
         assert lml == pytest.approx(-0.5 * np.log(2) - 0.5 * np.log(2 * np.pi), abs=1e-9)
 
@@ -95,11 +99,10 @@ class TestLogMarginalLikelihood:
         y = rng.standard_normal(5) * 0.3
 
         def lml_of(theta):
-            return log_marginal_likelihood(X, y, KernelParams.from_log_vector(theta))
+            return gpr_lml(X, y, KernelParams.from_log_vector(theta))[0]
 
         theta0 = np.log([0.8, 1.2, 0.4])
-        _, grad = log_marginal_likelihood(X, y, KernelParams.from_log_vector(theta0),
-                                          return_grad=True)
+        _, grad = gpr_lml(X, y, KernelParams.from_log_vector(theta0))
         numeric = central_difference(lml_of, theta0, h=1e-6)
         np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-9)
 
@@ -122,15 +125,10 @@ class TestLogMarginalLikelihood:
             K_matern, params.amplitude * scaled ** 2 * np.exp(-scaled),
             params.noise_level * np.eye(n))]
 
-        lml, grad = log_marginal_likelihood(X, y, params, return_grad=True)
+        lml, grad = gpr_lml(X, y, params)
         np.testing.assert_allclose(grad, expected, rtol=1e-9)
         assert lml == pytest.approx(-0.5 * y @ alpha - np.log(np.diag(L)).sum()
                                     - 0.5 * n * np.log(2 * np.pi), rel=1e-12)
-        # the distances a fit computes once give the same bits
-        given = log_marginal_likelihood(X, y, params, return_grad=True,
-                                        distances=np.sqrt(sq_distances(X, X)))
-        assert given[0] == lml
-        np.testing.assert_array_equal(given[1], grad)
 
     def test_doubling_targets_scales_data_fit_term_only(self):
         rng = np.random.default_rng(4)
@@ -138,8 +136,8 @@ class TestLogMarginalLikelihood:
         y = rng.standard_normal(4)
         params = KernelParams(noise_level=0.5)
         n = 4
-        lml_1 = log_marginal_likelihood(X, y, params)
-        lml_2 = log_marginal_likelihood(X, 2 * y, params)
+        lml_1, _ = gpr_lml(X, y, params)
+        lml_2, _ = gpr_lml(X, 2 * y, params)
         # lml = -0.5 q - logdet - c where q is the quadratic form: q scales by 4
         constant = -np.log(np.diag(np.linalg.cholesky(noisy_self_gram(X, params)))).sum() \
             - 0.5 * n * np.log(2 * np.pi)
@@ -195,19 +193,19 @@ class TestKernelBuffers:
             params = KernelParams(*kernel)
             lml, grad, jitter = whole_array_lml(X, y, params)
             jitters.append(jitter)
-            for got in (log_marginal_likelihood(X, y, params, return_grad=True),
-                        log_marginal_likelihood(X, y, params, True, distances, buffers)):
-                assert got[0] == lml
-                np.testing.assert_array_equal(got[1], grad)
-            assert build_gpr(matrix_from_arrays(X, y), params).jitter == jitter
+            got = log_marginal_likelihood(distances, y, params, buffers)
+            assert got[0] == lml
+            np.testing.assert_array_equal(got[1], grad)
+            assert conditioned_gpr(matrix_from_arrays(X, y), params).jitter == jitter
         assert jitters == [1e-10, 1e-8, 1e-10]
 
     def test_fit_holds_four_kernel_matrices(self, traced_peak):
         rng = np.random.default_rng(15)
         X = rng.uniform(-1, 1, (300, 4))
         train = matrix_from_arrays(X, np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(300))
-        fit_gpr(matrix_from_arrays(X[:5], train.targets[:5]))  # warm-up: scipy imports
-        assert traced_peak(fit_gpr, train) <= 4.5 * 300 * 300 * 8
+        # warm-up: scipy imports
+        fit_gpr(matrix_from_arrays(X[:5], train.targets[:5]), GprConfig())
+        assert traced_peak(fit_gpr, train, GprConfig()) <= 4.5 * 300 * 300 * 8
 
 
 class TestFitAndPredict:
@@ -215,28 +213,27 @@ class TestFitAndPredict:
         rng = np.random.default_rng(5)
         train = matrix_from_arrays(rng.uniform(-2, 2, (12, 1)),
                                    np.sin(rng.uniform(-2, 2, 12)))
-        init = KernelParams()
-        before = log_marginal_likelihood(train.features, train.targets, init)
-        model = fit_gpr(train, init, n_restarts=0, seed=0)
+        before, _ = gpr_lml(train.features, train.targets, KernelParams())
+        model = fit_gpr(train, GprConfig(n_restarts=0, seed=0))
         assert model.log_marginal >= before - 1e-9
 
     def test_built_model_carries_the_likelihood_bit_for_bit(self):
         rng = np.random.default_rng(8)
         train = matrix_from_arrays(rng.uniform(-2, 2, (15, 2)), rng.normal(size=15))
         params = KernelParams(amplitude=1.3, length_scale=0.7, noise_level=0.05)
-        lml = log_marginal_likelihood(train.features, train.targets, params)
-        assert build_gpr(train, params).log_marginal == lml
+        lml, _ = gpr_lml(train.features, train.targets, params)
+        assert conditioned_gpr(train, params).log_marginal == lml
 
     def test_noise_free_fixture_learns_small_noise(self):
         rng = np.random.default_rng(6)
         X = np.linspace(-1, 1, 14)[:, None]
         y = 0.8 * X.ravel()  # smooth, zero observation noise
-        model = fit_gpr(matrix_from_arrays(X, y), KernelParams(), n_restarts=3, seed=1)
+        model = fit_gpr(matrix_from_arrays(X, y), GprConfig(n_restarts=3, seed=1))
         assert model.kernel.noise_level < 1e-3
 
     def test_scalar_posterior_mean_halves_target(self):
         train = matrix_from_arrays([[0.0]], [0.8])
-        model = build_gpr(train, KernelParams(amplitude=1.0, noise_level=1.0))
+        model = conditioned_gpr(train, KernelParams(amplitude=1.0, noise_level=1.0))
         dist = predict_gpr(model, np.array([[0.0]]))
         assert dist.means[0] == pytest.approx(0.4, rel=1e-9)  # c / 2
         assert dist.stddevs[0] == pytest.approx(np.sqrt(1.5), rel=1e-9)
@@ -245,7 +242,7 @@ class TestFitAndPredict:
         rng = np.random.default_rng(7)
         train = matrix_from_arrays(rng.uniform(-1, 1, (8, 1)),
                                    rng.standard_normal(8) * 0.5)
-        model = fit_gpr(train, KernelParams(), n_restarts=0, seed=0)
+        model = fit_gpr(train, GprConfig(n_restarts=0, seed=0))
         dist = predict_gpr(model, np.array([[500.0]]))
         assert dist.means[0] == pytest.approx(0.0, abs=1e-6)
         prior_var = model.kernel.amplitude + model.kernel.noise_level
@@ -255,7 +252,7 @@ class TestFitAndPredict:
         X = np.array([[0.0], [0.5], [1.3]])
         y = np.array([0.2, -0.1, 0.4])
         params = KernelParams(amplitude=0.9, length_scale=0.8, noise_level=0.05)
-        model = build_gpr(matrix_from_arrays(X, y), params)
+        model = conditioned_gpr(matrix_from_arrays(X, y), params)
         # oracle: direct matrix inversion with the same kernel
         K = noisy_self_gram(X, params)
         Q = np.array([[0.2], [0.9]])
@@ -275,10 +272,10 @@ class TestFitAndPredict:
         # information from a duplicate vanishes as the noise does; tiny noise
         # still keeps the doubled-row kernel matrix nonsingular
         params = KernelParams(amplitude=1.0, length_scale=1.0, noise_level=1e-8)
-        base = build_gpr(matrix_from_arrays(X, y), params)
+        base = conditioned_gpr(matrix_from_arrays(X, y), params)
         X_dup = np.vstack([X, X[:1]])
         y_dup = np.append(y, y[0])
-        dup = build_gpr(matrix_from_arrays(X_dup, y_dup), params)
+        dup = conditioned_gpr(matrix_from_arrays(X_dup, y_dup), params)
         Q = rng.uniform(-1, 1, (5, 1))
         np.testing.assert_allclose(predict_gpr(base, Q).means,
                                    predict_gpr(dup, Q).means, atol=1e-6)
@@ -287,8 +284,8 @@ class TestFitAndPredict:
         rng = np.random.default_rng(11)
         train = matrix_from_arrays(rng.uniform(-1, 1, (12, 2)),
                                    rng.standard_normal(12) * 0.3)
-        model = build_gpr(train, KernelParams(amplitude=0.5, length_scale=0.7,
-                                              noise_level=0.2))
+        model = conditioned_gpr(train, KernelParams(amplitude=0.5, length_scale=0.7,
+                                                    noise_level=0.2))
         same = predict_gpr(model, model.X_train)
         copied = predict_gpr(model, model.X_train.copy())
         np.testing.assert_allclose(same.means, copied.means, rtol=0, atol=1e-12)
@@ -298,7 +295,7 @@ class TestFitAndPredict:
         X = np.linspace(-1, 1, 5)[:, None]
         y = np.cos(2 * X.ravel())
         params = KernelParams(amplitude=1.0, length_scale=0.5, noise_level=1e-8)
-        model = build_gpr(matrix_from_arrays(X, y), params)
+        model = conditioned_gpr(matrix_from_arrays(X, y), params)
         dist = predict_gpr(model, X.copy())
         np.testing.assert_allclose(dist.means, y, atol=1e-4)
 
@@ -306,7 +303,7 @@ class TestFitAndPredict:
         rng = np.random.default_rng(10)
         train = matrix_from_arrays(rng.uniform(-1, 1, (10, 2)),
                                    rng.standard_normal(10) * 0.3)
-        model = fit_gpr(train, KernelParams(), n_restarts=2, seed=3)
+        model = fit_gpr(train, GprConfig(n_restarts=2, seed=3))
         queries = rng.uniform(-3, 3, (40, 2))
         dist = predict_gpr(model, queries)
         upper = model.kernel.amplitude + model.kernel.noise_level
@@ -317,7 +314,7 @@ class TestFitAndPredict:
         rng = np.random.default_rng(12)
         train = matrix_from_arrays(rng.uniform(-1, 1, (10, 2)),
                                    rng.standard_normal(10) * 0.2)
-        model = GprRegressor(n_restarts=0, seed=0).fit(train)
+        model = GprRegressor(GprConfig(n_restarts=0, seed=0)).fit(train)
         queries = rng.uniform(-1, 1, (3, 2))
         np.testing.assert_array_equal(model.predict(queries).values,
                                       model.predict_dist(queries).means)
@@ -329,6 +326,6 @@ class TestFitFailure:
         rng = np.random.default_rng(13)
         train = matrix_from_arrays(rng.uniform(-1, 1, (6, 1)),
                                    rng.standard_normal(6))
-        absurd = KernelParams(amplitude=1e20, length_scale=1e20, noise_level=1e20)
+        absurd = GprConfig(amplitude=1e20, length_scale=1e20, noise_level=1e20)
         with pytest.raises(ConditioningError):
-            fit_gpr(train, absurd, n_restarts=0, seed=0)
+            fit_gpr(train, absurd)

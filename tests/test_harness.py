@@ -5,6 +5,7 @@ from dimuq import synthetic_matrix
 from dimuq.errors import (ConfigError, NumericError, ProtocolError, SearchError,
                           numeric_cause)
 from dimuq.harness import (
+    FAMILY_NAMES,
     Fractions,
     HyperGrid,
     Protocol,
@@ -18,7 +19,7 @@ from dimuq.harness import (
     scale_split,
     split_rows,
 )
-from dimuq.harness import build_model, evaluation, search
+from dimuq.harness import build_model, evaluation, families, search
 from dimuq.metrics import rmse
 from dimuq.models import (
     ForestConfig,
@@ -505,6 +506,11 @@ class TestFamilyRegistry:
         assert values.shape == (4,)
         assert np.all(np.isfinite(values))
 
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_every_model_keeps_its_registry_config(self, family):
+        config_type = families._FAMILIES[family][0]
+        assert type(build_model(family, {}).config) is config_type
+
     def test_unknown_family_rejected(self):
         from dimuq.harness import build_model
         with pytest.raises(ConfigError):
@@ -555,7 +561,7 @@ class TestFamilyRegistry:
     @pytest.mark.parametrize("family", ["bnn_head", "bnn_ensemble"])
     def test_zero_kl_weight_is_valid(self, family):
         from dimuq.harness import build_model
-        assert build_model(family, {"kl_weight": 0}, seed=0).params.kl_weight == 0
+        assert build_model(family, {"kl_weight": 0}, seed=0).config.kl_weight == 0
 
 
 class TestReadConfig:

@@ -213,6 +213,17 @@ def test_depth_path_rejects_depths_beyond_the_fit():
             model.predict_path(queries, [depth])
 
 
+@pytest.mark.parametrize("value", [2.5, True, "3", 0])
+def test_depths_and_leaf_sizes_must_be_positive_ints(value):
+    with pytest.raises(ConfigError):
+        TreeConfig(max_depth=value)
+    with pytest.raises(ConfigError):
+        TreeConfig(min_samples_leaf=value)
+    model = DecisionTreeRegressor(TreeConfig(max_depth=4)).fit(synthetic_matrix(60, 0.05, 3))
+    with pytest.raises(ConfigError):
+        model.predict_path(synthetic_matrix(5, 0.05, 4).features, [value])
+
+
 def test_depth_path_answers_every_cut_from_one_walk():
     train = synthetic_matrix(150, 0.05, 5)
     queries = synthetic_matrix(30, 0.05, 6).features
