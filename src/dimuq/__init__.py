@@ -14,7 +14,7 @@ from .data import (
     load_csv,
     synthetic_matrix,
 )
-from .metrics import ParityTable, Prediction, PredictiveDistribution, rmse
+from .metrics import ParityTable, Prediction, rmse
 from .schema import ColumnSpec, DataSchema, default_schema, load_schema
 
 __all__ = [
@@ -24,5 +24,5 @@ __all__ = [
     "load_csv", "encode", "fit_scaler", "apply_scaler",
     "generate_synthetic", "synthetic_matrix",
     "rmse",
-    "Prediction", "PredictiveDistribution", "ParityTable",
+    "Prediction", "ParityTable",
 ]

@@ -13,13 +13,7 @@ from .models import (
     train_head_model,
 )
 from .snapshot import load_snapshot, save_snapshot
-from .uncertainty import (
-    DEFAULT_DRAWS,
-    EnsembleOutput,
-    UncertaintyDecomposition,
-    decompose_uncertainty,
-    ensemble_predict,
-)
+from .uncertainty import DEFAULT_DRAWS, decompose_uncertainty, ensemble_predict
 
 __all__ = [
     "BatchNormLayer", "DenseLayer", "VariationalDenseLayer",
@@ -28,7 +22,6 @@ __all__ = [
     "DEFAULT_HEAD_EPOCHS", "DEFAULT_ENSEMBLE_EPOCHS", "DEFAULT_DRAWS",
     "HeadNetwork", "EnsembleNetwork",
     "train_head_model", "train_ensemble_model",
-    "EnsembleOutput", "UncertaintyDecomposition",
     "ensemble_predict", "decompose_uncertainty",
     "save_snapshot", "load_snapshot",
 ]

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, TrainingError
-from ..metrics import PredictiveDistribution
 from ..optim import Adam, RmsProp
 from .layers import (
     STDDEV_FLOOR,
@@ -229,10 +228,6 @@ class HeadNetwork(_Network):
             h = np.maximum(bn.apply(dense.apply(h)), 0.0)
         raw = self.output.apply(h)
         return GaussianHead(raw_mean=raw[:, 0], raw_scale=raw[:, 1])
-
-    def predict_dist(self, features) -> PredictiveDistribution:
-        head = self.infer(features)
-        return PredictiveDistribution(means=head.means, stddevs=head.stddevs)
 
 
 class EnsembleNetwork(_Network):

@@ -2,16 +2,14 @@
 
 Per query, the aleatoric part is the root mean square of the per-draw
 predicted standard deviations; the epistemic part is the sample standard
-deviation (``ddof=1``) of the per-draw predicted means. The total is their
-root sum of squares. It is not quite the Gaussian mixture's spread: the
-mixture's variance takes the means' population variance (``ddof=0``), so
-the epistemic variance here is n/(n-1) times the mixture's between-draw
-variance, about 0.5% above it at 200 draws.
+deviation (``ddof=1``) of the per-draw predicted means. Their root sum of
+squares is not quite the Gaussian mixture's spread: the mixture's variance
+takes the means' population variance (``ddof=0``), so the epistemic
+variance here is n/(n-1) times the mixture's between-draw variance, about
+0.5% above it at 200 draws.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,54 +19,10 @@ from .models import EnsembleNetwork
 DEFAULT_DRAWS = 200
 
 
-@dataclass(frozen=True)
-class EnsembleOutput:
-    """Per-draw Gaussian parameters: arrays of shape (n_draws, n_queries)."""
-
-    means: np.ndarray
-    stddevs: np.ndarray
-
-    def __post_init__(self):
-        means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        stddevs = np.atleast_2d(np.asarray(self.stddevs, dtype=np.float64))
-        means.setflags(write=False)
-        stddevs.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stddevs", stddevs)
-        if means.shape != stddevs.shape:
-            raise ConfigError("means/stddevs shape mismatch")
-        if means.shape[0] < 2:
-            raise ConfigError("an ensemble needs at least 2 draws")
-        if np.any(stddevs <= 0):
-            raise ConfigError("all per-draw stddevs must be > 0")
-
-    @property
-    def n_draws(self) -> int:
-        return self.means.shape[0]
-
-    def mixture_means(self) -> np.ndarray:
-        """Mean of the Gaussian mixture per query (= mean of per-draw means)."""
-        return self.means.mean(axis=0)
-
-
-@dataclass(frozen=True)
-class UncertaintyDecomposition:
-    aleatoric: np.ndarray
-    epistemic: np.ndarray
-    total: np.ndarray
-
-    def __post_init__(self):
-        for name in ("aleatoric", "epistemic", "total"):
-            array = np.asarray(getattr(self, name), dtype=np.float64).ravel()
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
-        if np.any(self.aleatoric < 0) or np.any(self.epistemic < 0):
-            raise ConfigError("uncertainty components must be >= 0")
-
-
 def ensemble_predict(model: EnsembleNetwork, queries, n_draws: int = DEFAULT_DRAWS,
-                     seed: int = 0) -> EnsembleOutput:
-    """Sample the weight posterior ``n_draws`` times and run inference passes.
+                     seed: int = 0):
+    """Sample the weight posterior ``n_draws`` times and run inference passes:
+    the (n_draws, n_queries) arrays of per-draw means and stddevs.
 
     Draw d uses its own stream derived from (seed, d), so draws are
     independent of execution order.
@@ -83,16 +37,12 @@ def ensemble_predict(model: EnsembleNetwork, queries, n_draws: int = DEFAULT_DRA
     for d, head in enumerate(model.sample_heads(queries, noises)):
         means[d] = head.means
         stddevs[d] = head.stddevs
-    return EnsembleOutput(means=means, stddevs=stddevs)
+    return means, stddevs
 
 
-def decompose_uncertainty(ensemble: EnsembleOutput) -> UncertaintyDecomposition:
-    """Split the ensemble's predictive spread into data and model parts.
-
-    ``total`` is the root sum of squares of the two parts. With the
-    epistemic part's ``ddof=1``, ``total ** 2`` exceeds the mixture variance
-    by the between-draw variance over n_draws - 1."""
-    aleatoric = np.sqrt(np.mean(ensemble.stddevs ** 2, axis=0))
-    epistemic = np.std(ensemble.means, axis=0, ddof=1)
-    total = np.sqrt(aleatoric ** 2 + epistemic ** 2)
-    return UncertaintyDecomposition(aleatoric=aleatoric, epistemic=epistemic, total=total)
+def decompose_uncertainty(means, stddevs):
+    """(mixture mean, aleatoric, epistemic) per query of the per-draw
+    ``means`` and ``stddevs``, arrays of shape (n_draws, n_queries)."""
+    aleatoric = np.sqrt(np.mean(stddevs ** 2, axis=0))
+    epistemic = np.std(means, axis=0, ddof=1)
+    return means.mean(axis=0), aleatoric, epistemic

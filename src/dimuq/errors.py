@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a count."""
+
+import numbers
 
 
 class DimuqError(Exception):
@@ -35,6 +37,14 @@ class LayoutMismatchError(DimuqError):
 
 class ConfigError(DimuqError):
     """Invalid model or protocol configuration."""
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """ConfigError unless ``value`` is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be int, not {value!r}")
+    if value < least:
+        raise ConfigError(f"{name}={value} must be >= {least}")
 
 
 class NumericError(DimuqError):

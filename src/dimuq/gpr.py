@@ -31,7 +31,7 @@ import numpy as np
 
 from .distances import sq_distances
 from .errors import ConditioningError, ConfigError
-from .metrics import PredictiveDistribution, ProbabilisticRegressor
+from .metrics import ProbabilisticRegressor, finite_spread
 from .optim import minimize_lbfgs
 
 _SQRT3 = np.sqrt(3.0)
@@ -227,9 +227,9 @@ def fit_gpr(matrix, config: GprConfig) -> GprModel:
                     log_marginal=lml)
 
 
-def predict_gpr(model: GprModel, queries) -> PredictiveDistribution:
-    """Posterior mean and standard deviation per query, the variance with
-    the learned observation noise."""
+def predict_gpr(model: GprModel, queries):
+    """(means, stddevs): the posterior mean and standard deviation per
+    query, the variance with the learned observation noise."""
     from scipy.linalg import solve_triangular
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != model.X_train.shape[1]:
@@ -242,7 +242,7 @@ def predict_gpr(model: GprModel, queries) -> PredictiveDistribution:
     variances = model.kernel.amplitude - (v ** 2).sum(axis=0) + model.kernel.noise_level
     if np.any(variances < -1e-10):
         raise ConditioningError("predictive variance fell below the numerical guard")
-    return PredictiveDistribution(means=means, stddevs=np.sqrt(np.maximum(variances, 0.0)))
+    return means, np.sqrt(np.maximum(variances, 0.0))
 
 
 class GprRegressor(ProbabilisticRegressor):
@@ -256,9 +256,10 @@ class GprRegressor(ProbabilisticRegressor):
         self.width = matrix.width
         return self
 
-    def predict_dist(self, features) -> PredictiveDistribution:
+    def predict_spread(self, features):
+        """Every stddev counts as aleatoric."""
         queries = self.queries(features)  # before self.model, which a fit sets
-        return predict_gpr(self.model, queries)
+        return finite_spread(*predict_gpr(self.model, queries))
 
     def diagnostics(self) -> dict:
         if self.width is None:

@@ -24,7 +24,7 @@ from ..bnn import (
 )
 from ..errors import ConfigError
 from ..gpr import GprConfig, GprRegressor
-from ..metrics import Prediction, PredictiveDistribution, ProbabilisticRegressor
+from ..metrics import ProbabilisticRegressor, finite_spread
 from ..models import (
     DecisionTreeRegressor,
     ForestConfig,
@@ -127,9 +127,11 @@ class _HeadModelAdapter(_NetworkAdapter):
         self.width = matrix.width
         return self
 
-    def predict_dist(self, features):
+    def predict_spread(self, features):
+        """Every stddev counts as aleatoric."""
         queries = self.queries(features)  # before self.network, which a fit sets
-        return self.network.predict_dist(queries)
+        head = self.network.infer(queries)
+        return finite_spread(head.means, head.stddevs)
 
 
 class _EnsembleModelAdapter(_NetworkAdapter):
@@ -140,25 +142,13 @@ class _EnsembleModelAdapter(_NetworkAdapter):
         self.width = matrix.width
         return self
 
-    def _ensemble(self, features):
+    def predict_spread(self, features):
         # looked up on dimuq.bnn at call time: perfbench/layers.py wraps it there
         from ..bnn import ensemble_predict
         queries = self.queries(features)
-        return ensemble_predict(self.network, queries, n_draws=self.config.n_draws,
-                                seed=self.config.seed)
-
-    def predict(self, features) -> Prediction:
-        return Prediction(self._ensemble(features).mixture_means())
-
-    def predict_spread(self, features):
-        ensemble = self._ensemble(features)
-        decomposition = decompose_uncertainty(ensemble)
-        return ensemble.mixture_means(), decomposition.aleatoric, decomposition.epistemic
-
-    def predict_dist(self, features):
-        ensemble = self._ensemble(features)
-        return PredictiveDistribution(means=ensemble.mixture_means(),
-                                      stddevs=decompose_uncertainty(ensemble).total)
+        means, stddevs = ensemble_predict(self.network, queries, n_draws=self.config.n_draws,
+                                          seed=self.config.seed)
+        return finite_spread(*decompose_uncertainty(means, stddevs))
 
 
 # family: (parameter dataclass, constructor, path axis). On a path axis a

@@ -42,31 +42,6 @@ class Prediction:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class PredictiveDistribution:
-    """Per-query Gaussian predictive mean and standard deviation (mm)."""
-
-    means: np.ndarray
-    stddevs: np.ndarray
-
-    def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64).ravel()
-        stddevs = np.asarray(self.stddevs, dtype=np.float64).ravel()
-        means.setflags(write=False)
-        stddevs.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stddevs", stddevs)
-        if means.shape != stddevs.shape:
-            raise ConfigError("means and stddevs must have equal length")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stddevs))):
-            raise NumericError("predictive distribution contains non-finite values")
-        if np.any(stddevs < 0):
-            raise ConfigError("predictive stddevs must be >= 0")
-
-    def __len__(self) -> int:
-        return self.means.size
-
-
 class Regressor:
     """Minimal contract every model family implements.
 
@@ -99,20 +74,26 @@ class Regressor:
 
 
 class ProbabilisticRegressor(Regressor):
-    """Adds a per-query predictive distribution on top of point predictions."""
+    """Adds a per-query spread, split into aleatoric and epistemic parts, to
+    point predictions."""
 
     def predict(self, features) -> Prediction:
-        """By default the means of ``predict_dist``."""
-        return Prediction(self.predict_dist(features).means)
-
-    def predict_dist(self, features) -> PredictiveDistribution:
-        raise NotImplementedError
+        """The means of ``predict_spread``."""
+        return Prediction(self.predict_spread(features)[0])
 
     def predict_spread(self, features):
-        """(means, aleatoric, epistemic or None) per query (mm); by default
-        every stddev of ``predict_dist`` counts as aleatoric."""
-        dist = self.predict_dist(features)
-        return dist.means, dist.stddevs, None
+        """(means, aleatoric, epistemic or None) per query (mm), returned
+        through ``finite_spread``."""
+        raise NotImplementedError
+
+
+def finite_spread(means, aleatoric, epistemic=None):
+    """The answer of a probabilistic family, as given; NumericError if any
+    of its values is not finite."""
+    for part in (means, aleatoric, epistemic):
+        if part is not None and not np.all(np.isfinite(part)):
+            raise NumericError("predictive spread contains non-finite values")
+    return means, aleatoric, epistemic
 
 
 def csv_text(header, rows) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count
 from ..metrics import Prediction, Regressor
 from .tree import grow_tree, predict_tree
 
@@ -29,14 +29,15 @@ class GbtConfig:
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 1.0:
             raise ConfigError("learning_rate must be in (0, 1]")
-        if self.n_estimators < 0:
-            raise ConfigError("n_estimators must be >= 0")
+        check_count("n_estimators", self.n_estimators, least=0)
         if not 0.0 < self.subsample <= 1.0:
             raise ConfigError("subsample must be in (0, 1]")
         if self.max_leaf_nodes is not None and self.max_depth is not None:
             raise ConfigError("set max_leaf_nodes or max_depth, not both")
-        if self.max_leaf_nodes is not None and self.max_leaf_nodes < 2:
-            raise ConfigError("max_leaf_nodes must be >= 2")
+        if self.max_leaf_nodes is not None:
+            check_count("max_leaf_nodes", self.max_leaf_nodes, least=2)
+        if self.max_depth is not None:
+            check_count("max_depth", self.max_depth)
 
 
 class GradientBoostingRegressor(Regressor):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count
 from ..metrics import Prediction, Regressor
 from .tree import grow_forest, predict_tree
 # Not called here: perfbench/layers.py wraps this name on this module.
@@ -22,12 +22,8 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_estimators < 1:
-            raise ConfigError("n_estimators must be >= 1")
-        if self.max_features < 1:
-            raise ConfigError("max_features must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise ConfigError("min_samples_leaf must be >= 1")
+        for name in ("n_estimators", "max_features", "min_samples_leaf"):
+            check_count(name, getattr(self, name))
 
 
 class RandomForestRegressor(Regressor):

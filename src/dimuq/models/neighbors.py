@@ -10,18 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..distances import sq_distances
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count
 from ..metrics import Prediction, Regressor
 
 METRICS = ("euclidean", "manhattan")
-
-
-def _check_k(k) -> None:
-    """ConfigError unless ``k`` is an integer (not a bool) of at least 1."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ConfigError(f"k must be int, not {k!r}")
-    if k < 1:
-        raise ConfigError(f"k={k} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -30,7 +22,7 @@ class KnnConfig:
     metric: str = "euclidean"
 
     def __post_init__(self):
-        _check_k(self.k)
+        check_count("k", self.k)
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
 
@@ -75,7 +67,7 @@ class KnnRegressor(Regressor):
         queries = self.queries(features)
         n = self._X.shape[0]
         for k in ks:
-            _check_k(k)
+            check_count("k", k)
             if k > n:
                 raise ConfigError(f"k={k} exceeds {n} training rows")
         k_max = max(ks, default=1)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_count
 from ..metrics import Prediction, Regressor
 
 _MAE_CANDIDATE_CAP = 128
@@ -60,14 +60,6 @@ _STEP_ELEMENTS = 40_000
 CRITERIA = ("squared_error", "absolute_error")
 
 
-def _check_count(name: str, value) -> None:
-    """ConfigError unless ``value`` is an integer (not a bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be int, not {value!r}")
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1")
-
-
 @dataclass(frozen=True)
 class TreeConfig:
     max_depth: int | None = 20
@@ -76,8 +68,8 @@ class TreeConfig:
 
     def __post_init__(self):
         if self.max_depth is not None:
-            _check_count("max_depth", self.max_depth)
-        _check_count("min_samples_leaf", self.min_samples_leaf)
+            check_count("max_depth", self.max_depth)
+        check_count("min_samples_leaf", self.min_samples_leaf)
         if self.criterion not in CRITERIA:
             raise ConfigError(f"unknown criterion {self.criterion!r}")
 
@@ -494,7 +486,7 @@ class DecisionTreeRegressor(Regressor):
         limit = self.config.max_depth
         for depth in depths:
             if depth is not None:
-                _check_count("max_depth", depth)
+                check_count("max_depth", depth)
             if limit is not None and (depth is None or depth > limit):
                 raise ConfigError(f"max_depth={depth} is deeper than the fitted {limit}")
         return predict_tree(self._root, queries, list(depths))

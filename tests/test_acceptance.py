@@ -137,9 +137,9 @@ def test_criterion_5_head_model(real_split):
     with criterion(5, "trainable-variance network RMSE and aleatoric bands"):
         train, test = real_split
         network = train_head_model(train, HeadConfig(), seed=2022)
-        dist = network.predict_dist(test.features)
-        value = rmse(dist.means, test.targets)
-        aleatoric = float(dist.stddevs.mean())
+        head = network.infer(test.features)
+        value = rmse(head.means, test.targets)
+        aleatoric = float(head.stddevs.mean())
         print(f"  rmse: {value:.5f} mm, aleatoric: {aleatoric:.5f} mm")
         assert 0.065 <= value <= 0.095
         assert 0.045 <= aleatoric <= 0.065
@@ -150,15 +150,15 @@ def test_criterion_6_ensemble_model(real_split):
     with criterion(6, "weight-sampling network RMSE and decomposition bands"):
         train, test = real_split
         network = train_ensemble_model(train, EnsembleConfig(), seed=2022)
-        ensemble = ensemble_predict(network, test.features, n_draws=200, seed=2022)
-        decomposition = decompose_uncertainty(ensemble)
-        value = rmse(ensemble.mixture_means(), test.targets)
+        mixture, aleatoric, epistemic = decompose_uncertainty(
+            *ensemble_predict(network, test.features, n_draws=200, seed=2022))
+        value = rmse(mixture, test.targets)
         print(f"  rmse: {value:.5f} mm, aleatoric: "
-              f"{decomposition.aleatoric.mean():.5f} mm, epistemic: "
-              f"{decomposition.epistemic.mean():.5f} mm")
+              f"{aleatoric.mean():.5f} mm, epistemic: "
+              f"{epistemic.mean():.5f} mm")
         assert 0.090 <= value <= 0.125
-        assert 0.050 <= decomposition.aleatoric.mean() <= 0.080
-        assert 0.010 <= decomposition.epistemic.mean() <= 0.035
+        assert 0.050 <= aleatoric.mean() <= 0.080
+        assert 0.010 <= epistemic.mean() <= 0.035
 
 
 def test_criterion_7_epistemic_trend_on_fixture():
@@ -200,8 +200,8 @@ class TestCriterion8Properties:
             Q = np.array([[0.2], [0.9]])
             K_inv = np.linalg.inv(noisy_self_gram(X, params))
             k_cross = gram(X, Q, params)
-            dist = predict_gpr(model, Q)
-            np.testing.assert_allclose(dist.means, k_cross.T @ K_inv @ y, atol=1e-8)
+            means, _ = predict_gpr(model, Q)
+            np.testing.assert_allclose(means, k_cross.T @ K_inv @ y, atol=1e-8)
 
     def test_brute_force_model_oracles(self):
         with criterion(8, "kNN/tree agree with brute-force oracles"):
@@ -218,17 +218,16 @@ class TestCriterion8Properties:
 
     def test_decomposition_hand_examples(self):
         with criterion(8, "decomposition hand examples exact to 1e-12"):
-            from dimuq.bnn.uncertainty import EnsembleOutput
-            output = EnsembleOutput(means=[[0.0], [1.0]], stddevs=[[1.0], [2.0]])
-            decomposition = decompose_uncertainty(output)
-            assert abs(decomposition.aleatoric[0] - np.sqrt(2.5)) <= 1e-12
-            assert abs(decomposition.epistemic[0] - np.sqrt(0.5)) <= 1e-12
+            _, aleatoric, epistemic = decompose_uncertainty(np.array([[0.0], [1.0]]),
+                                                            np.array([[1.0], [2.0]]))
+            assert abs(aleatoric[0] - np.sqrt(2.5)) <= 1e-12
+            assert abs(epistemic[0] - np.sqrt(0.5)) <= 1e-12
 
     def test_aleatoric_recovery_within_20_percent(self):
         with criterion(8, "known-noise aleatoric recovery within 20%"):
             from test_bnn_models import known_noise_head_fit
             network, test = known_noise_head_fit()
-            estimate = float(network.predict_dist(test.features).stddevs.mean())
+            estimate = float(network.infer(test.features).stddevs.mean())
             print(f"  estimated noise: {estimate:.4f} (true 0.05)")
             assert abs(estimate - 0.05) / 0.05 <= 0.20
 

@@ -20,7 +20,6 @@ from dimuq.bnn import (
 )
 from dimuq.bnn.layers import sigmoid, softplus_inverse
 from dimuq.bnn.snapshot import FORMAT_VERSION
-from dimuq.bnn.uncertainty import EnsembleOutput
 from dimuq.errors import ConfigError, TrainingError
 from dimuq.harness import Fractions, build_model, dual_mc_split
 
@@ -252,8 +251,8 @@ class TestFusedStepsMatchUnfusedOracles:
 class TestTraining:
     def test_head_model_recovers_known_noise(self):
         model, test = known_noise_head_fit()
-        dist = model.predict_dist(test.features)
-        assert 0.04 <= float(dist.stddevs.mean()) <= 0.06
+        head = model.infer(test.features)
+        assert 0.04 <= float(head.stddevs.mean()) <= 0.06
 
     def test_head_training_is_deterministic(self):
         train, _ = scaled_fixture(200, noise=0.05, seed=1)
@@ -365,9 +364,9 @@ class TestEnsemblePrediction:
     def test_draw_count_and_shapes(self):
         train, test = scaled_fixture(150, noise=0.05, seed=7)
         model = train_ensemble_model(train, EnsembleConfig(), epochs=50, seed=0)
-        output = ensemble_predict(model, test.features, n_draws=200, seed=1)
-        assert output.means.shape == (200, test.n_rows)
-        assert output.stddevs.shape == (200, test.n_rows)
+        means, stddevs = ensemble_predict(model, test.features, n_draws=200, seed=1)
+        assert means.shape == (200, test.n_rows)
+        assert stddevs.shape == (200, test.n_rows)
 
     def test_single_draw_rejected(self):
         train, test = scaled_fixture(120, noise=0.05, seed=8)
@@ -380,24 +379,24 @@ class TestEnsemblePrediction:
         model = train_ensemble_model(train, EnsembleConfig(), epochs=30, seed=0)
         model.variational.rho_W[...] = softplus_inverse(1e-12)
         model.variational.rho_b[...] = softplus_inverse(1e-12)
-        output = ensemble_predict(model, test.features, n_draws=50, seed=3)
-        decomposition = decompose_uncertainty(output)
-        np.testing.assert_allclose(decomposition.epistemic, 0.0, atol=1e-9)
+        _, _, epistemic = decompose_uncertainty(
+            *ensemble_predict(model, test.features, n_draws=50, seed=3))
+        np.testing.assert_allclose(epistemic, 0.0, atol=1e-9)
 
     def test_seed_stability_of_decomposition(self):
         train, test = scaled_fixture(400, noise=0.05, seed=10)
         model = train_ensemble_model(train, EnsembleConfig(), epochs=600, seed=0)
-        first = decompose_uncertainty(
-            ensemble_predict(model, test.features, n_draws=200, seed=100))
-        second = decompose_uncertainty(
-            ensemble_predict(model, test.features, n_draws=200, seed=200))
-        assert first.aleatoric.mean() == pytest.approx(second.aleatoric.mean(), rel=0.10)
-        assert first.epistemic.mean() == pytest.approx(second.epistemic.mean(), rel=0.10)
+        _, first_aleatoric, first_epistemic = decompose_uncertainty(
+            *ensemble_predict(model, test.features, n_draws=200, seed=100))
+        _, second_aleatoric, second_epistemic = decompose_uncertainty(
+            *ensemble_predict(model, test.features, n_draws=200, seed=200))
+        assert first_aleatoric.mean() == pytest.approx(second_aleatoric.mean(), rel=0.10)
+        assert first_epistemic.mean() == pytest.approx(second_epistemic.mean(), rel=0.10)
 
     def test_matches_per_draw_reference_bit_for_bit(self):
         train, test = scaled_fixture(120, noise=0.05, seed=14)
         model = train_ensemble_model(train, EnsembleConfig(), epochs=30, seed=0)
-        output = ensemble_predict(model, test.features, n_draws=6, seed=4)
+        means, stddevs = ensemble_predict(model, test.features, n_draws=6, seed=4)
         norm, layer, out = model.input_norm, model.variational, model.output
         for d in range(6):
             # one full inference pass per draw: normalize, sample, propagate
@@ -408,48 +407,42 @@ class TestEnsemblePrediction:
             W = layer.mu_W + softplus(layer.rho_W) * eps_W
             b = layer.mu_b + softplus(layer.rho_b) * eps_b
             raw = sigmoid(h @ W + b) @ out.W + out.b
-            assert np.array_equal(output.means[d], raw[:, 0])
-            assert np.array_equal(output.stddevs[d], softplus(raw[:, 1]) + 1e-6)
+            assert np.array_equal(means[d], raw[:, 0])
+            assert np.array_equal(stddevs[d], softplus(raw[:, 1]) + 1e-6)
 
     def test_mixture_mean_is_mean_of_draw_means(self):
         rng = np.random.default_rng(11)
         means = rng.normal(size=(40, 7))
         stddevs = rng.uniform(0.01, 0.2, size=(40, 7))
-        output = EnsembleOutput(means=means, stddevs=stddevs)
-        np.testing.assert_allclose(output.mixture_means(), means.mean(axis=0),
-                                   rtol=1e-12)
+        mixture, _, _ = decompose_uncertainty(means, stddevs)
+        np.testing.assert_allclose(mixture, means.mean(axis=0), rtol=1e-12)
 
 
 class TestDecomposition:
     def test_two_draw_hand_example(self):
-        output = EnsembleOutput(means=[[0.0], [1.0]], stddevs=[[1.0], [2.0]])
-        decomposition = decompose_uncertainty(output)
-        assert decomposition.aleatoric[0] == pytest.approx(np.sqrt(2.5), abs=1e-12)
-        assert decomposition.epistemic[0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        _, aleatoric, epistemic = decompose_uncertainty(np.array([[0.0], [1.0]]),
+                                                        np.array([[1.0], [2.0]]))
+        assert aleatoric[0] == pytest.approx(np.sqrt(2.5), abs=1e-12)
+        assert epistemic[0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_equal_means_zero_epistemic(self):
-        output = EnsembleOutput(means=np.full((5, 3), 0.4),
-                                stddevs=np.full((5, 3), 0.1))
-        np.testing.assert_array_equal(decompose_uncertainty(output).epistemic, 0.0)
+        _, _, epistemic = decompose_uncertainty(np.full((5, 3), 0.4), np.full((5, 3), 0.1))
+        np.testing.assert_array_equal(epistemic, 0.0)
 
     def test_constant_sigma_recovers_it(self):
-        output = EnsembleOutput(means=np.random.default_rng(0).normal(size=(6, 2)),
-                                stddevs=np.full((6, 2), 0.07))
-        np.testing.assert_allclose(decompose_uncertainty(output).aleatoric, 0.07,
-                                   rtol=1e-12)
+        _, aleatoric, _ = decompose_uncertainty(np.random.default_rng(0).normal(size=(6, 2)),
+                                                np.full((6, 2), 0.07))
+        np.testing.assert_allclose(aleatoric, 0.07, rtol=1e-12)
 
-    def test_total_is_root_sum_of_squares(self):
+    def test_sum_of_squares_exceeds_mixture_variance_by_the_ddof(self):
         rng = np.random.default_rng(1)
-        output = EnsembleOutput(means=rng.normal(size=(30, 9)),
-                                stddevs=rng.uniform(0.01, 0.5, size=(30, 9)))
-        decomposition = decompose_uncertainty(output)
-        np.testing.assert_allclose(
-            decomposition.total ** 2,
-            decomposition.aleatoric ** 2 + decomposition.epistemic ** 2, rtol=1e-12)
-
-    def test_fewer_than_two_draws_rejected(self):
-        with pytest.raises(ConfigError):
-            EnsembleOutput(means=[[0.0]], stddevs=[[1.0]])
+        means = rng.normal(size=(30, 9))
+        stddevs = rng.uniform(0.01, 0.5, size=(30, 9))
+        mixture, aleatoric, epistemic = decompose_uncertainty(means, stddevs)
+        between = means.var(axis=0)  # the mixture's ddof=0 part
+        mixture_variance = (stddevs ** 2 + means ** 2).mean(axis=0) - mixture ** 2
+        np.testing.assert_allclose(aleatoric ** 2 + epistemic ** 2,
+                                   mixture_variance + between / 29, rtol=1e-12)
 
 
 class TestSnapshots:
@@ -459,8 +452,8 @@ class TestSnapshots:
         path = tmp_path / "head.npz"
         save_snapshot(model, path)
         restored = load_snapshot(path)
-        first = model.predict_dist(test.features)
-        second = restored.predict_dist(test.features)
+        first = model.infer(test.features)
+        second = restored.infer(test.features)
         np.testing.assert_array_equal(first.means, second.means)
         np.testing.assert_array_equal(first.stddevs, second.stddevs)
 
@@ -472,8 +465,8 @@ class TestSnapshots:
         restored = load_snapshot(path)
         original = ensemble_predict(model, test.features, n_draws=20, seed=5)
         reloaded = ensemble_predict(restored, test.features, n_draws=20, seed=5)
-        np.testing.assert_array_equal(original.means, reloaded.means)
-        np.testing.assert_array_equal(original.stddevs, reloaded.stddevs)
+        np.testing.assert_array_equal(original[0], reloaded[0])
+        np.testing.assert_array_equal(original[1], reloaded[1])
 
     def test_archive_keys_and_version_unchanged(self, tmp_path):
         train, _ = scaled_fixture(100, noise=0.05, seed=17)

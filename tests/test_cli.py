@@ -11,6 +11,7 @@ import pytest
 
 import dimuq
 from dimuq import cli, synthetic_matrix
+from dimuq.bnn import EnsembleNetwork, GaussianHead
 from dimuq.cli import main
 from dimuq.data import generate_synthetic
 from dimuq.errors import ConditioningError, ProtocolError
@@ -473,6 +474,32 @@ class TestPartialFailure:
         assert not (out / "uq_trend.json").exists()
         assert (out / "manifest.json").exists()
         assert (out / "parity_gpr.csv").exists()  # the model after it still runs
+
+    def test_non_finite_ensemble_spread_exits_4_and_writes_no_infinity(self, tmp_path,
+                                                                         monkeypatch):
+        sample_heads = EnsembleNetwork.sample_heads
+
+        def infinite_scale(self, X, noises):
+            for head in sample_heads(self, X, noises):
+                yield GaussianHead(raw_mean=head.raw_mean,
+                                   raw_scale=np.full_like(head.raw_scale, np.inf))
+
+        monkeypatch.setattr(EnsembleNetwork, "sample_heads", infinite_scale)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "synthetic": {"n": 60},
+            "uq": {"models": ["bnn_ensemble"], "draws": 5, "fractions": [0.5],
+                   "bnn_ensemble": {"epochs": 5}},
+        }))
+        out = tmp_path / "out"
+        assert run_cli("uq", "--config", config, "--out", out) == cli.EXIT_NUMERIC
+        failures = read_json(out / "failures.json")
+        assert [failure["family"] for failure in failures] == ["uq_trend", "bnn_ensemble"]
+        for failure in failures:
+            assert failure["error"] == (
+                "NumericError: predictive spread contains non-finite values")
+        for path in out.iterdir():
+            assert b"Infinity" not in path.read_bytes()
 
     def test_trend_fraction_outside_the_unit_interval_exits_3_before_training(self, tmp_path):
         config = tmp_path / "config.json"

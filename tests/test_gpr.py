@@ -234,19 +234,19 @@ class TestFitAndPredict:
     def test_scalar_posterior_mean_halves_target(self):
         train = matrix_from_arrays([[0.0]], [0.8])
         model = conditioned_gpr(train, KernelParams(amplitude=1.0, noise_level=1.0))
-        dist = predict_gpr(model, np.array([[0.0]]))
-        assert dist.means[0] == pytest.approx(0.4, rel=1e-9)  # c / 2
-        assert dist.stddevs[0] == pytest.approx(np.sqrt(1.5), rel=1e-9)
+        means, stddevs = predict_gpr(model, np.array([[0.0]]))
+        assert means[0] == pytest.approx(0.4, rel=1e-9)  # c / 2
+        assert stddevs[0] == pytest.approx(np.sqrt(1.5), rel=1e-9)
 
     def test_far_query_reverts_to_prior(self):
         rng = np.random.default_rng(7)
         train = matrix_from_arrays(rng.uniform(-1, 1, (8, 1)),
                                    rng.standard_normal(8) * 0.5)
         model = fit_gpr(train, GprConfig(n_restarts=0, seed=0))
-        dist = predict_gpr(model, np.array([[500.0]]))
-        assert dist.means[0] == pytest.approx(0.0, abs=1e-6)
+        means, stddevs = predict_gpr(model, np.array([[500.0]]))
+        assert means[0] == pytest.approx(0.0, abs=1e-6)
         prior_var = model.kernel.amplitude + model.kernel.noise_level
-        assert dist.stddevs[0] ** 2 == pytest.approx(prior_var, rel=1e-6)
+        assert stddevs[0] ** 2 == pytest.approx(prior_var, rel=1e-6)
 
     def test_three_point_posterior_matches_dense_inverse_oracle(self):
         X = np.array([[0.0], [0.5], [1.3]])
@@ -261,9 +261,9 @@ class TestFitAndPredict:
         expected_mean = k_cross.T @ K_inv @ y
         expected_var = (params.amplitude + params.noise_level
                         - np.einsum("ij,ik,kj->j", k_cross, K_inv, k_cross))
-        dist = predict_gpr(model, Q)
-        np.testing.assert_allclose(dist.means, expected_mean, atol=1e-8)
-        np.testing.assert_allclose(dist.stddevs ** 2, expected_var, atol=1e-8)
+        means, stddevs = predict_gpr(model, Q)
+        np.testing.assert_allclose(means, expected_mean, atol=1e-8)
+        np.testing.assert_allclose(stddevs ** 2, expected_var, atol=1e-8)
 
     def test_duplicate_training_point_leaves_predictions_unchanged(self):
         rng = np.random.default_rng(8)
@@ -277,8 +277,8 @@ class TestFitAndPredict:
         y_dup = np.append(y, y[0])
         dup = conditioned_gpr(matrix_from_arrays(X_dup, y_dup), params)
         Q = rng.uniform(-1, 1, (5, 1))
-        np.testing.assert_allclose(predict_gpr(base, Q).means,
-                                   predict_gpr(dup, Q).means, atol=1e-6)
+        np.testing.assert_allclose(predict_gpr(base, Q)[0],
+                                   predict_gpr(dup, Q)[0], atol=1e-6)
 
     def test_prediction_at_training_rows_ignores_array_identity(self):
         rng = np.random.default_rng(11)
@@ -288,16 +288,16 @@ class TestFitAndPredict:
                                                     noise_level=0.2))
         same = predict_gpr(model, model.X_train)
         copied = predict_gpr(model, model.X_train.copy())
-        np.testing.assert_allclose(same.means, copied.means, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(same.stddevs, copied.stddevs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(same[0], copied[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(same[1], copied[1], rtol=0, atol=1e-12)
 
     def test_mean_interpolates_at_tiny_noise(self):
         X = np.linspace(-1, 1, 5)[:, None]
         y = np.cos(2 * X.ravel())
         params = KernelParams(amplitude=1.0, length_scale=0.5, noise_level=1e-8)
         model = conditioned_gpr(matrix_from_arrays(X, y), params)
-        dist = predict_gpr(model, X.copy())
-        np.testing.assert_allclose(dist.means, y, atol=1e-4)
+        means, stddevs = predict_gpr(model, X.copy())
+        np.testing.assert_allclose(means, y, atol=1e-4)
 
     def test_predictive_variance_bounded_by_prior(self):
         rng = np.random.default_rng(10)
@@ -305,10 +305,10 @@ class TestFitAndPredict:
                                    rng.standard_normal(10) * 0.3)
         model = fit_gpr(train, GprConfig(n_restarts=2, seed=3))
         queries = rng.uniform(-3, 3, (40, 2))
-        dist = predict_gpr(model, queries)
+        means, stddevs = predict_gpr(model, queries)
         upper = model.kernel.amplitude + model.kernel.noise_level
-        assert np.all(dist.stddevs ** 2 <= upper + 1e-9)
-        assert np.all(dist.stddevs >= 0)
+        assert np.all(stddevs ** 2 <= upper + 1e-9)
+        assert np.all(stddevs >= 0)
 
     def test_regressor_contract_adapter(self):
         rng = np.random.default_rng(12)
@@ -317,7 +317,7 @@ class TestFitAndPredict:
         model = GprRegressor(GprConfig(n_restarts=0, seed=0)).fit(train)
         queries = rng.uniform(-1, 1, (3, 2))
         np.testing.assert_array_equal(model.predict(queries).values,
-                                      model.predict_dist(queries).means)
+                                      model.predict_spread(queries)[0])
 
 
 class TestFitFailure:

@@ -23,6 +23,7 @@ from dimuq.harness import build_model, evaluation, families, search
 from dimuq.metrics import rmse
 from dimuq.models import (
     ForestConfig,
+    GbtConfig,
     KnnConfig,
     MlpConfig,
     SvrConfig,
@@ -557,6 +558,29 @@ class TestFamilyRegistry:
         from dimuq.harness import build_model
         with pytest.raises(ConfigError, match=message):
             build_model(family, params, seed=0)
+
+    @pytest.mark.parametrize("config_type, params, message", [
+        (GbtConfig, {"max_depth": 0, "max_leaf_nodes": None}, "max_depth=0 must be >= 1"),
+        (GbtConfig, {"max_depth": -3, "max_leaf_nodes": None}, "max_depth=-3 must be >= 1"),
+        (GbtConfig, {"max_depth": 2.5, "max_leaf_nodes": None}, "max_depth must be int"),
+        (GbtConfig, {"max_leaf_nodes": 1}, "max_leaf_nodes=1 must be >= 2"),
+        (GbtConfig, {"max_leaf_nodes": 8.0}, "max_leaf_nodes must be int"),
+        (GbtConfig, {"n_estimators": -1}, "n_estimators=-1 must be >= 0"),
+        (GbtConfig, {"n_estimators": True}, "n_estimators must be int"),
+        (ForestConfig, {"min_samples_leaf": 2.5}, "min_samples_leaf must be int"),
+        (ForestConfig, {"min_samples_leaf": True}, "min_samples_leaf must be int"),
+        (ForestConfig, {"min_samples_leaf": 0}, "min_samples_leaf=0 must be >= 1"),
+        (ForestConfig, {"n_estimators": 0}, "n_estimators=0 must be >= 1"),
+        (ForestConfig, {"max_features": 1.5}, "max_features must be int"),
+    ])
+    def test_every_count_is_an_int_of_its_least_value(self, config_type, params, message):
+        with pytest.raises(ConfigError, match=message):
+            config_type(**params)
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_gbt_depth_below_one_is_refused_before_any_fit(self, depth):
+        with pytest.raises(ConfigError, match=f"max_depth={depth} must be >= 1"):
+            build_model("gbt", {"max_depth": depth}, seed=0)
 
     @pytest.mark.parametrize("family", ["bnn_head", "bnn_ensemble"])
     def test_zero_kl_weight_is_valid(self, family):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -11,8 +12,8 @@ from dimuq.metrics import (
     PARITY_HEADER,
     ParityTable,
     Prediction,
-    PredictiveDistribution,
     csv_text,
+    finite_spread,
     json_text,
     rmse,
 )
@@ -50,14 +51,6 @@ class TestPredictionTypes:
     def test_prediction_rejects_nan(self):
         with pytest.raises(NumericError):
             Prediction(np.array([1.0, np.nan]))
-
-    def test_distribution_rejects_negative_stddev(self):
-        with pytest.raises(ConfigError):
-            PredictiveDistribution(np.zeros(2), np.array([0.1, -0.1]))
-
-    def test_distribution_rejects_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            PredictiveDistribution(np.zeros(2), np.zeros(3))
 
 
 class TestParityTable:
@@ -115,13 +108,56 @@ _TINY = {"random_forest": {"n_estimators": 3}, "gbt": {"n_estimators": 3},
 def _query_methods(model):
     """Every way ``model`` answers queries, each as a one-argument call."""
     methods = [model.predict]
-    if hasattr(model, "predict_dist"):
-        methods += [model.predict_dist, model.predict_spread]
+    if hasattr(model, "predict_spread"):
+        methods.append(model.predict_spread)
     if hasattr(model, "predict_path"):
         axis = "k" if hasattr(model.config, "k") else "max_depth"
         methods.append(lambda features: model.predict_path(
             features, [getattr(model.config, axis)]))
     return methods
+
+
+_PROBABILISTIC = ("gpr", "bnn_head", "bnn_ensemble")
+
+
+def _infinite_stddev(model):
+    """Make every stddev the fitted ``model`` predicts infinite, its means
+    finite: an infinite noise level, or an infinite raw scale."""
+    if hasattr(model, "network"):
+        model.network.output.b[1] = np.inf
+    else:
+        model.model = dataclasses.replace(
+            model.model, kernel=dataclasses.replace(model.model.kernel, noise_level=np.inf))
+
+
+class TestSpread:
+    """Every probabilistic family answers through ``predict_spread``."""
+
+    @pytest.mark.parametrize("family", _PROBABILISTIC)
+    def test_predict_is_the_spread_means(self, family):
+        data = synthetic_matrix(120, 0.05, 7)
+        model = build_model(family, _TINY.get(family, {}), seed=0).fit(data)
+        means, aleatoric, epistemic = model.predict_spread(data.features)
+        assert np.array_equal(model.predict(data.features).values, means)
+        assert aleatoric.shape == means.shape
+        assert (epistemic is None) == (family != "bnn_ensemble")
+
+    @pytest.mark.parametrize("family", _PROBABILISTIC)
+    def test_infinite_stddev_is_a_numeric_error(self, family):
+        data = synthetic_matrix(120, 0.05, 7)
+        model = build_model(family, _TINY.get(family, {}), seed=0).fit(data)
+        _infinite_stddev(model)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match="non-finite"):
+                model.predict_spread(data.features)
+
+    @pytest.mark.parametrize("part", range(3))
+    def test_finite_spread_checks_every_part(self, part):
+        spread = [np.zeros(2), np.ones(2), np.ones(2)]
+        assert all(got is given for got, given in zip(finite_spread(*spread), spread))
+        spread[part] = np.array([0.0, np.nan])
+        with pytest.raises(NumericError):
+            finite_spread(*spread)
 
 
 class TestRegressorContract:

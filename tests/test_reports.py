@@ -15,7 +15,7 @@ from dimuq.harness import (
     sweep_report_to_csv,
     uq_report_to_csv,
 )
-from dimuq.metrics import PredictiveDistribution, ProbabilisticRegressor
+from dimuq.metrics import ProbabilisticRegressor
 
 
 def eval_report(family, average, maximum, minimum, stddev, prediction_range):
@@ -71,8 +71,8 @@ class _TracedModel(ProbabilisticRegressor):
     def fit(self, train):
         return self
 
-    def predict_dist(self, features):
-        return PredictiveDistribution(np.zeros(len(features)), np.ones(len(features)))
+    def predict_spread(self, features):
+        return np.zeros(len(features)), np.ones(len(features)), None
 
 
 def test_loss_trace_csv_text(tmp_path, monkeypatch):
